@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the reproduction's design choices (the BFS one
+//! is described in the README's "Dataset substitutions" section):
 //!
 //! * TmF's linear-cost high-pass filter vs materialising the noisy matrix;
 //! * PrivGraph's exponential-mechanism community adjustment on vs off;

@@ -2,6 +2,7 @@
 //! construction stage of Fig. 1).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pgb_datasets::Dataset;
 use pgb_models::hrg::Dendrogram;
 use pgb_models::{
     barabasi_albert, bter, chung_lu, configuration_model, erdos_renyi_gnp, havel_hakimi,
@@ -63,6 +64,22 @@ fn bench_models(c: &mut Criterion) {
             let mut d = Dendrogram::from_graph(&g, &mut rng);
             for _ in 0..10_000 {
                 d.mcmc_step(&g, 1.0, &mut rng);
+            }
+            d
+        })
+    });
+
+    // ER(500, 0.02) above keeps the dendrogram shallow; Facebook's stand-in
+    // drives it deep, with subtrees of hundreds of leaves. ε = 1 gives
+    // PrivHRG's factor ε₁ / (4 ln n) with ε₁ = ε / 2.
+    let facebook = Dataset::Facebook.generate(0);
+    let factor = 0.5 / (4.0 * (facebook.node_count() as f64).ln());
+    group.bench_function("hrg_mcmc_facebook_40k_steps", |b| {
+        let mut rng = StdRng::seed_from_u64(9);
+        b.iter(|| {
+            let mut d = Dendrogram::from_graph(&facebook, &mut rng);
+            for _ in 0..40_000 {
+                d.mcmc_step(&facebook, factor, &mut rng);
             }
             d
         })

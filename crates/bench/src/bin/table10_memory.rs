@@ -1,7 +1,7 @@
 //! Regenerates **Table X**: peak heap consumption (megabytes) of one
 //! generation per algorithm × dataset at ε = 1, measured with the
 //! counting global allocator (the offline equivalent of the paper's OS
-//! memory readings — see DESIGN.md's substitution table).
+//! memory readings — see the README's "Dataset substitutions" section).
 
 use pgb_bench::{load_datasets, suite, CountingAllocator, HarnessArgs};
 use pgb_core::benchmark::TextTable;

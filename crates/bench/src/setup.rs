@@ -51,8 +51,8 @@ pub fn temporal_suite_for(args: &HarnessArgs) -> Vec<TemporalGenerator> {
         .collect()
 }
 
-/// Node count above which path queries switch to sampled BFS (see
-/// DESIGN.md's substitution table).
+/// Node count above which path queries switch to sampled BFS (see the
+/// README's "Dataset substitutions" section).
 const EXACT_BFS_LIMIT: usize = 5_000;
 
 /// Query parameters for a dataset of `n` nodes.

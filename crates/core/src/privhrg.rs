@@ -80,10 +80,22 @@ impl GraphGenerator for PrivHrg {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
+        Ok(Box::new(self.synthesize(graph, epsilon, rng)?))
+    }
+}
+
+impl PrivHrg {
+    /// [`GraphGenerator::measure`] with the concrete intermediate type.
+    fn synthesize(
+        &self,
+        graph: &Graph,
+        epsilon: f64,
+        rng: &mut dyn RngCore,
+    ) -> Result<HrgSynthesis, GenerateError> {
         check_epsilon(epsilon)?;
         let n = graph.node_count();
         if n < 2 {
-            return Ok(Box::new(HrgSynthesis { n, dendrogram: None, probs: Vec::new(), epsilon }));
+            return Ok(HrgSynthesis { n, dendrogram: None, probs: Vec::new(), epsilon });
         }
         let mut acc = BudgetAccountant::new(epsilon)?;
         let eps1 = acc
@@ -111,7 +123,7 @@ impl GraphGenerator for PrivHrg {
                 noisy / pairs
             })
             .collect();
-        Ok(Box::new(HrgSynthesis { n, dendrogram: Some(dendrogram), probs, epsilon: acc.total() }))
+        Ok(HrgSynthesis { n, dendrogram: Some(dendrogram), probs, epsilon: acc.total() })
     }
 }
 
@@ -195,5 +207,34 @@ mod tests {
             PrivHrg { steps_per_node: usize::MAX / 1_000, max_steps: 100, ..Default::default() };
         let out = gen.generate(&g, 1.0, &mut rng).unwrap();
         assert!(out.check_invariants());
+    }
+
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// Pins PrivHRG's output byte for byte: the noisy probabilities from
+    /// `measure` and the edge list of one `sample`, on a hub-heavy graph
+    /// deep enough that the MCMC moves large subtrees. Any change to the
+    /// dendrogram's move bookkeeping must leave both hashes unchanged.
+    #[test]
+    fn output_pinned() {
+        let g = pgb_models::barabasi_albert(400, 8, &mut StdRng::seed_from_u64(446));
+        for (epsilon, want_probs, want_edges) in [
+            (0.1, 0xe051_f6e3_3688_c0ba, 0xdaa3_40d3_48c1_97c0),
+            (2.0, 0x716c_1efe_db92_d099, 0x14f0_5405_afdf_98c5),
+        ] {
+            let mut rng = StdRng::seed_from_u64(447);
+            let syn = PrivHrg::default().synthesize(&g, epsilon, &mut rng).unwrap();
+            let probs = syn
+                .probs
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, p| fnv1a(h, &p.to_bits().to_le_bytes()));
+            let out = syn.sample(&mut rng);
+            let edges = out.edges().fold(0xcbf2_9ce4_8422_2325, |h, (u, v)| {
+                fnv1a(fnv1a(h, &u.to_le_bytes()), &v.to_le_bytes())
+            });
+            assert_eq!((probs, edges), (want_probs, want_edges), "ε = {epsilon}");
+        }
     }
 }

@@ -13,6 +13,18 @@
 //! log-likelihood difference: `1.0` gives the classic likelihood sampler,
 //! while PrivHRG passes `ε₁ / (2 Δ logL)` to target the exponential
 //! mechanism's distribution over dendrograms.
+//!
+//! Each step needs the number of graph edges between two disjoint subtrees.
+//! To answer that without walking the subtrees, the dendrogram keeps a
+//! *leaf-order labelling*: a permutation `order` of the leaves (with inverse
+//! `pos`) in which every subtree's leaves are contiguous, so internal node
+//! `r` owns the interval `[lo[r], lo[r] + leaves[r])`, and that interval is
+//! the disjoint union of its two children's intervals. The labelling records
+//! leaf sets only; it does not follow which child is left and which is
+//! right. The edge count iterates the smaller subtree's slice of `order` and
+//! tests each neighbour's membership in the other subtree with one
+//! comparison on `pos`. An accepted move keeps the invariant by swapping at
+//! most one pair of adjacent blocks of `order`.
 
 use crate::sampling::sample_binomial;
 use pgb_graph::{Graph, GraphBuilder, NodeId};
@@ -47,10 +59,14 @@ pub struct Dendrogram {
     /// Edges of the source graph whose LCA is this internal node.
     e: Vec<u64>,
     root: u32,
+    /// Position of each leaf in the leaf order (inverse of `order`).
+    pos: Vec<u32>,
+    /// The leaf order: every subtree's leaves are contiguous in it.
+    order: Vec<u32>,
+    /// Start of each internal node's interval `[lo, lo + leaves)` in `order`.
+    lo: Vec<u32>,
     /// Timestamped scratch marks for LCA queries (per internal node).
     mark: Vec<u64>,
-    /// Timestamped scratch marks for leaf-set membership (per leaf).
-    leaf_mark: Vec<u64>,
     stamp: u64,
 }
 
@@ -78,39 +94,48 @@ impl Dendrogram {
             leaves: vec![0; internal],
             e: vec![0; internal],
             root: 0,
+            pos: vec![0; n],
+            order: Vec::new(),
+            lo: vec![0; internal],
             mark: vec![0; internal],
-            leaf_mark: vec![0; n],
             stamp: 0,
         };
         let mut next = 0u32;
-        let root = d.build_balanced(&perm, &mut next);
+        let root = d.build_balanced(&perm, 0, &mut next);
         match root {
             Child::Internal(r) => d.root = r,
             Child::Leaf(_) => unreachable!("n >= 2 always yields an internal root"),
         }
+        d.order = perm;
         d
     }
 
-    fn build_balanced(&mut self, leaves: &[u32], next: &mut u32) -> Child {
+    /// Builds the subtree over `leaves`, which sit at `offset..` in the
+    /// leaf order.
+    fn build_balanced(&mut self, leaves: &[u32], offset: u32, next: &mut u32) -> Child {
         if leaves.len() == 1 {
+            self.pos[leaves[0] as usize] = offset;
             return Child::Leaf(leaves[0]);
         }
         let id = *next;
         *next += 1;
         let mid = leaves.len() / 2;
-        let l = self.build_balanced(&leaves[..mid], next);
-        let r = self.build_balanced(&leaves[mid..], next);
+        let l = self.build_balanced(&leaves[..mid], offset, next);
+        let r = self.build_balanced(&leaves[mid..], offset + mid as u32, next);
         self.left[id as usize] = l;
         self.right[id as usize] = r;
-        for (child, side) in [(l, true), (r, false)] {
-            let _ = side;
-            match child {
-                Child::Leaf(u) => self.leaf_parent[u as usize] = id,
-                Child::Internal(c) => self.parent[c as usize] = id,
-            }
-        }
+        self.set_parent(l, id);
+        self.set_parent(r, id);
         self.leaves[id as usize] = leaves.len() as u32;
+        self.lo[id as usize] = offset;
         Child::Internal(id)
+    }
+
+    fn set_parent(&mut self, child: Child, parent: u32) {
+        match child {
+            Child::Leaf(u) => self.leaf_parent[u as usize] = parent,
+            Child::Internal(i) => self.parent[i as usize] = parent,
+        }
     }
 
     /// Builds a random dendrogram and initialises the edge counts from `g`.
@@ -142,8 +167,10 @@ impl Dendrogram {
             + vb(&self.leaf_parent)
             + vb(&self.leaves)
             + vb(&self.e)
+            + vb(&self.pos)
+            + vb(&self.order)
+            + vb(&self.lo)
             + vb(&self.mark)
-            + vb(&self.leaf_mark)
     }
 
     /// Edge count `E_r` at internal node `r`.
@@ -161,6 +188,14 @@ impl Dendrogram {
         match c {
             Child::Leaf(_) => 1,
             Child::Internal(i) => self.leaves[i as usize],
+        }
+    }
+
+    /// The interval `(lo, len)` of `c`'s leaves in the leaf order.
+    fn span(&self, c: Child) -> (u32, u32) {
+        match c {
+            Child::Leaf(u) => (self.pos[u as usize], 1),
+            Child::Internal(i) => (self.lo[i as usize], self.leaves[i as usize]),
         }
     }
 
@@ -234,28 +269,66 @@ impl Dendrogram {
     }
 
     /// Number of graph edges between the leaf sets of two disjoint
-    /// subtrees.
-    fn edges_between(&mut self, g: &Graph, x: Child, y: Child) -> u64 {
-        let mut lx = Vec::new();
-        let mut ly = Vec::new();
-        self.collect_leaves(x, &mut lx);
-        self.collect_leaves(y, &mut ly);
-        // Mark the side we probe against; iterate the other.
-        let (iter_side, mark_side) = if lx.len() <= ly.len() { (&lx, &ly) } else { (&ly, &lx) };
-        self.stamp += 1;
-        let stamp = self.stamp;
-        for &u in mark_side {
-            self.leaf_mark[u as usize] = stamp;
-        }
+    /// subtrees: iterates the smaller side's slice of the leaf order and
+    /// tests each neighbour's position against the other side's interval.
+    fn edges_between(&self, g: &Graph, x: Child, y: Child) -> u64 {
+        let (sx, sy) = (self.span(x), self.span(y));
+        let ((s_lo, s_len), (t_lo, t_len)) = if sx.1 <= sy.1 { (sx, sy) } else { (sy, sx) };
         let mut count = 0u64;
-        for &u in iter_side {
+        for &u in &self.order[s_lo as usize..(s_lo + s_len) as usize] {
             for &v in g.neighbors(u) {
-                if self.leaf_mark[v as usize] == stamp {
+                if self.pos[v as usize].wrapping_sub(t_lo) < t_len {
                     count += 1;
                 }
             }
         }
         count
+    }
+
+    /// Swaps two subtrees whose intervals are adjacent in the leaf order,
+    /// `first` directly before `second`: rotates that run of `order`,
+    /// rewrites `pos` over it and shifts `lo` of the internal nodes in both.
+    fn swap_blocks(&mut self, first: Child, second: Child) {
+        let (start, len1) = self.span(first);
+        let (start2, len2) = self.span(second);
+        debug_assert_eq!(start + len1, start2, "blocks must be adjacent");
+        let run = start as usize..(start2 + len2) as usize;
+        self.order[run.clone()].rotate_left(len1 as usize);
+        for i in run {
+            self.pos[self.order[i] as usize] = i as u32;
+        }
+        self.shift_lo(first, len2);
+        self.shift_lo(second, len1.wrapping_neg());
+    }
+
+    /// Adds `delta` (wrapping) to `lo` of every internal node in subtree
+    /// `c`. The walk climbs back through the parent pointers, so it needs
+    /// no stack.
+    fn shift_lo(&mut self, c: Child, delta: u32) {
+        let Child::Internal(top) = c else { return };
+        let mut cur = top;
+        'down: loop {
+            self.lo[cur as usize] = self.lo[cur as usize].wrapping_add(delta);
+            for child in [self.left[cur as usize], self.right[cur as usize]] {
+                if let Child::Internal(i) = child {
+                    cur = i;
+                    continue 'down;
+                }
+            }
+            // No internal child: climb to the nearest ancestor whose right
+            // child is an internal node not yet visited.
+            while cur != top {
+                let p = self.parent[cur as usize];
+                if self.left[p as usize] == Child::Internal(cur) {
+                    if let Child::Internal(i) = self.right[p as usize] {
+                        cur = i;
+                        continue 'down;
+                    }
+                }
+                cur = p;
+            }
+            return;
+        }
     }
 
     /// One step of the Clauset–Moore–Newman subtree-swap Markov chain with
@@ -307,6 +380,23 @@ impl Dendrogram {
                 return false;
             }
         }
+        // Keep the leaf order: X, Y and C tile q's interval, and r's new
+        // leaf set Y ∪ C must be contiguous. If X sits between Y and C,
+        // swap it with the smaller of the two.
+        let y = new_r_children.0;
+        let ((x_lo, _), (y_lo, y_len), (c_lo, c_len)) =
+            (self.span(moved_out), self.span(y), self.span(c));
+        let y_first = y_lo < x_lo;
+        if y_first == (x_lo < c_lo) {
+            let (first, second) = match (y_len <= c_len, y_first) {
+                (true, true) => (y, moved_out),
+                (true, false) => (moved_out, y),
+                (false, true) => (moved_out, c),
+                (false, false) => (c, moved_out),
+            };
+            self.swap_blocks(first, second);
+        }
+        self.lo[r as usize] = self.span(y).0.min(self.span(c).0);
         // Apply the restructure: r adopts (x, c); q adopts (r, moved_out).
         self.left[r as usize] = new_r_children.0;
         self.right[r as usize] = new_r_children.1;
@@ -318,15 +408,9 @@ impl Dendrogram {
             self.left[q as usize] = moved_out;
         }
         for child in [new_r_children.0, new_r_children.1] {
-            match child {
-                Child::Leaf(u) => self.leaf_parent[u as usize] = r,
-                Child::Internal(i) => self.parent[i as usize] = r,
-            }
+            self.set_parent(child, r);
         }
-        match moved_out {
-            Child::Leaf(u) => self.leaf_parent[u as usize] = q,
-            Child::Internal(i) => self.parent[i as usize] = q,
-        }
+        self.set_parent(moved_out, q);
         self.leaves[r as usize] =
             self.child_leaves(new_r_children.0) + self.child_leaves(new_r_children.1);
         self.e[r as usize] = new_er;
@@ -396,9 +480,22 @@ impl Dendrogram {
     }
 
     /// Structural sanity check used by tests: parent/child pointers are
-    /// mutually consistent, leaf counts add up, and every leaf is reachable
-    /// exactly once.
+    /// mutually consistent, leaf counts add up, every leaf is reachable
+    /// exactly once, `order` and `pos` are inverse permutations, and each
+    /// internal node's interval is the disjoint union of its children's.
     pub fn check_invariants(&self) -> bool {
+        let n = self.n as u32;
+        if self.order.len() != self.n
+            || self.pos.len() != self.n
+            || self
+                .order
+                .iter()
+                .enumerate()
+                .any(|(i, &u)| u >= n || self.pos[u as usize] != i as u32)
+            || self.span(Child::Internal(self.root)) != (0, n)
+        {
+            return false;
+        }
         let mut seen = vec![false; self.n];
         let mut stack = vec![self.root];
         let mut visited_internal = 0usize;
@@ -424,6 +521,13 @@ impl Dendrogram {
                 }
             }
             if count != self.leaves[r as usize] {
+                return false;
+            }
+            let ((l_lo, l_len), (r_lo, r_len)) =
+                (self.span(self.left[r as usize]), self.span(self.right[r as usize]));
+            let lo = self.lo[r as usize];
+            let tiles = (l_lo == lo && r_lo == lo + l_len) || (r_lo == lo && l_lo == lo + r_len);
+            if !tiles {
                 return false;
             }
         }
@@ -550,6 +654,39 @@ mod tests {
         // Out-of-range values are clamped, not propagated.
         let wild = vec![7.5; d.internal_count()];
         assert_eq!(d.sample_graph_with(&wild, &mut rng).edge_count(), 8 * 7 / 2);
+    }
+
+    #[test]
+    fn edges_between_matches_naive_pair_count() {
+        let mut rng = StdRng::seed_from_u64(138);
+        let g = crate::barabasi_albert(120, 4, &mut rng);
+        let mut d = Dendrogram::from_graph(&g, &mut rng);
+        let n = d.leaf_count();
+        // Node i of the 2n − 1 dendrogram nodes: leaves first, then internal.
+        let child =
+            |i: usize| if i < n { Child::Leaf(i as u32) } else { Child::Internal((i - n) as u32) };
+        let (mut lx, mut ly) = (Vec::new(), Vec::new());
+        let mut compared = 0;
+        for (prefix, factor) in [(0, 1.0), (300, 0.02), (2_000, 0.02), (2_000, 1.0)] {
+            for _ in 0..prefix {
+                d.mcmc_step(&g, factor, &mut rng);
+            }
+            for _ in 0..400 {
+                let (x, y) =
+                    (child(rng.gen_range(0..2 * n - 1)), child(rng.gen_range(0..2 * n - 1)));
+                lx.clear();
+                ly.clear();
+                d.collect_leaves(x, &mut lx);
+                d.collect_leaves(y, &mut ly);
+                if lx.iter().any(|u| ly.contains(u)) {
+                    continue; // not disjoint
+                }
+                let naive = lx.iter().map(|&u| ly.iter().filter(|&&v| g.has_edge(u, v)).count());
+                assert_eq!(d.edges_between(&g, x, y), naive.sum::<usize>() as u64, "{x:?}, {y:?}");
+                compared += 1;
+            }
+        }
+        assert!(compared > 500, "only {compared} disjoint pairs");
     }
 
     #[test]

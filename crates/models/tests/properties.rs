@@ -126,6 +126,32 @@ fn hrg_mcmc_long_run_consistency() {
 }
 
 #[test]
+fn hrg_leaf_order_soak_at_privhrg_factor() {
+    // PrivHRG's factor ε₁ / (4 ln n) is about 0.02 at ε = 1 and n = 400, so
+    // nearly every move is accepted and updates the leaf-order labels, many
+    // by rotating blocks; a hub-heavy graph gives large subtrees to move.
+    use pgb_models::hrg::Dendrogram;
+    let n = 400;
+    let factor = 0.5 / (4.0 * (n as f64).ln());
+    let mut rng = StdRng::seed_from_u64(1_000);
+    let g = barabasi_albert(n, 8, &mut rng);
+    let mut d = Dendrogram::from_graph(&g, &mut rng);
+    let mut accepted = 0;
+    for step in 1..=20_000 {
+        accepted += d.mcmc_step(&g, factor, &mut rng) as usize;
+        if step % 500 == 0 {
+            assert!(d.check_invariants(), "step {step}");
+            let mut fresh = d.clone();
+            fresh.recompute_edge_counts(&g);
+            for r in 0..d.internal_count() as u32 {
+                assert_eq!(d.edges_at(r), fresh.edges_at(r), "internal node {r} at step {step}");
+            }
+        }
+    }
+    assert!(accepted > 15_000, "only {accepted} of 20000 moves accepted");
+}
+
+#[test]
 fn kronecker_moment_consistency_across_parameters() {
     use pgb_models::{Initiator, KroneckerModel};
     // Moments must be monotone in each initiator entry and consistent

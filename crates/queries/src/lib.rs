@@ -41,7 +41,8 @@ pub enum PathMode {
     /// BFS from every node — exact, `O(n · m)`.
     Exact,
     /// BFS from a uniform sample of sources — the estimator the harness
-    /// uses on graphs above ~10⁴ nodes (§"Substitutions" of DESIGN.md).
+    /// uses on graphs above 5 000 nodes (see the README's "Dataset
+    /// substitutions" section).
     Sampled {
         /// Number of BFS sources.
         sources: usize,
