@@ -14,14 +14,17 @@
 //!   Barabási–Albert graph (sampled BFS, the harness' mode at this scale)
 //!   at thread budgets {1, 2, 8}.
 //! * `suite_seq_overhead` — each parallelised pass at a 1-thread budget
-//!   vs its pre-refactor sequential reference (`counting::seq`,
-//!   `path_stats_seq`, `degree_histogram_seq`) on the same graph. The
-//!   1-thread budget takes `par_fold_chunks`' single-accumulator inline
-//!   path, so the measured overhead must stay ≤ 5% (the PR 3/4
-//!   discipline; measured on this container: BFS ≈ 0.1%, degree histogram
-//!   ≈ 1% — and the triangle comparison also folds in the degree-ordered
-//!   orientation, which *wins* on skewed graphs: ~2.5× faster than the
-//!   id-ordered reference on the BA graph, threads or no threads).
+//!   vs its sequential reference (`counting::seq`, `path_stats_seq`,
+//!   `degree_histogram_seq`) on the same graph. For the degree histogram
+//!   the 1-thread budget takes `par_fold_chunks`' single-accumulator
+//!   inline path over the same algorithm, so its overhead must stay ≤ 5%
+//!   (measured ≈ 1% on a 1-core Xeon). The other two compare different
+//!   algorithms, so they are speed-ups, not overheads: the triangle pass
+//!   folds in the degree-ordered orientation (~2.5× faster than the
+//!   id-ordered reference on the BA graph, threads or no threads), and
+//!   `bfs64/par1` runs the 64 sampled sources as one bit-parallel batch
+//!   where `bfs64/seq`, the per-source oracle, runs 64 separate BFS
+//!   traversals.
 //!
 //! * `suite_eval_mode` — Exact vs Approx (`EvalMode`) evaluation of the
 //!   eight sketch-backed queries (Q3, Q5–Q11) on a 10⁶-node BA graph at a

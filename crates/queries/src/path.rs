@@ -1,27 +1,30 @@
 //! Path-condition queries: diameter (Q7), average shortest path (Q8), and
 //! the distance distribution (Q9), computed in one BFS sweep.
 //!
-//! The sweep is parallel over sources: the source list is sampled first
-//! (same caller-RNG draws as the sequential reference — the BFS itself is
+//! The sweep is a bit-parallel multi-source BFS (Then et al., "The More
+//! the Merrier", VLDB 2014). The source list is sampled first (same
+//! caller-RNG draws as the per-source reference — the BFS itself is
 //! deterministic, so no per-source randomness exists to derive), then
-//! chunks of sources each run their BFS into a chunk-local accumulator and
-//! the distance histograms merge **in source order**. Every merged
-//! quantity is an exact integer (`u64` histogram cells, `u128` distance
-//! total, `u32` max), so [`path_stats`] is bit-identical to
-//! [`path_stats_seq`] at any [`pgb_par::current_parallelism`] budget; the
-//! two ratios (`average_length`, the normalised distribution) are computed
-//! once from the merged integers.
+//! split into batches of up to 64 sources, one per bit of a `u64` lane
+//! word. A batch runs all its traversals at once over three `n`-word
+//! bitsets: at level `d` every node ORs its neighbours' frontier words,
+//! and the bits it had not seen yet are exactly the (source, node) pairs
+//! at distance `d`, so one `popcount` feeds the histogram. Batches are the
+//! parallel chunks, each folding into a chunk-local accumulator. Every
+//! merged quantity is an exact integer (`u64` histogram cells, `u128`
+//! distance total, `u32` max), so [`path_stats`] is bit-identical to the
+//! per-source oracle [`path_stats_seq`] however the sources are batched and
+//! at any [`pgb_par::current_parallelism`] budget; the two ratios
+//! (`average_length`, the normalised distribution) are computed once from
+//! the merged integers.
 
 use crate::PathMode;
-use pgb_graph::traversal::{bfs_distances_into, UNREACHABLE};
+use pgb_graph::traversal::{bfs_distances_into, connected_components, Components, UNREACHABLE};
 use pgb_graph::Graph;
 use rand::Rng;
 
-/// Sources per chunk for the parallel sweep: one BFS is already `O(n + m)`
-/// work, so small chunks load-balance without measurable handoff cost,
-/// while each chunk still amortises its distance-buffer allocation over
-/// several sources.
-const SOURCE_CHUNK: usize = 8;
+/// Sources per batch at most: one per bit of the `u64` lane word.
+const LANES: usize = 64;
 
 /// The three path statistics, bundled because they share the BFS sweep.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,110 +39,165 @@ pub struct PathStats {
     pub distance_distribution: Vec<f64>,
 }
 
+/// The integer state of a sweep; merges add cells and take the max.
+#[derive(Default)]
+struct Sweep {
+    hist: Vec<u64>,
+    total: u128,
+    pairs: u64,
+    diameter: u32,
+}
+
+impl Sweep {
+    /// Counts `count` (source, node) pairs at distance `d`.
+    fn record(&mut self, d: u32, count: u64) {
+        if d as usize >= self.hist.len() {
+            self.hist.resize(d as usize + 1, 0);
+        }
+        self.hist[d as usize] += count;
+        self.total += d as u128 * count as u128;
+        self.pairs += count;
+        self.diameter = self.diameter.max(d);
+    }
+
+    fn merge(&mut self, other: Sweep) {
+        if other.hist.len() > self.hist.len() {
+            self.hist.resize(other.hist.len(), 0);
+        }
+        for (h, o) in self.hist.iter_mut().zip(other.hist) {
+            *h += o;
+        }
+        self.total += other.total;
+        self.pairs += other.pairs;
+        self.diameter = self.diameter.max(other.diameter);
+    }
+
+    fn finish(self) -> PathStats {
+        let Sweep { hist, total, pairs, diameter } = self;
+        let average_length = if pairs == 0 { 0.0 } else { total as f64 / pairs as f64 };
+        let distance_distribution = if pairs == 0 {
+            vec![0.0]
+        } else {
+            hist.iter().map(|&c| c as f64 / pairs as f64).collect()
+        };
+        PathStats { diameter, average_length, distance_distribution }
+    }
+
+    /// Runs one BFS per source in `batch` (at most [`LANES`] distinct
+    /// sources) simultaneously, lane `i` of every word belonging to
+    /// `batch[i]`, and records every reached (source, node) pair.
+    /// `components` labels every node with its connected component.
+    fn bfs_batch(&mut self, g: &Graph, components: &Components, batch: &[u32]) {
+        let (offsets, neighbors) = g.csr();
+        let full = u64::MAX >> (LANES - batch.len());
+        let mut lanes_in = vec![0u64; components.count()];
+        for (lane, &s) in batch.iter().enumerate() {
+            lanes_in[components.label[s as usize] as usize] |= 1 << lane;
+        }
+        // 24·n bytes of scratch (plus a word per component), dropped with
+        // the batch so a parked accumulator holds only its histogram. A
+        // lane whose source lies in another component can never reach a
+        // node, so it starts out seen there: a node is `full` once every
+        // lane that *can* reach it has, and nodes in source-free
+        // components are never visited at all.
+        let mut seen: Vec<u64> =
+            components.label.iter().map(|&c| full & !lanes_in[c as usize]).collect();
+        let mut frontier = vec![0u64; seen.len()];
+        let mut next = vec![0u64; seen.len()];
+        for (lane, &s) in batch.iter().enumerate() {
+            seen[s as usize] |= 1 << lane;
+            frontier[s as usize] |= 1 << lane;
+        }
+        for d in 1.. {
+            let mut found = 0u64;
+            for (v, (sv, nv)) in seen.iter_mut().zip(&mut next).enumerate() {
+                // Pull form: a node every lane has reached is skipped
+                // without reading its neighbours.
+                *nv = 0;
+                if *sv == full {
+                    continue;
+                }
+                let nbrs = &neighbors[offsets[v] as usize..offsets[v + 1] as usize];
+                let fresh = nbrs.iter().fold(0, |acc, &u| acc | frontier[u as usize]) & !*sv;
+                if fresh != 0 {
+                    *nv = fresh;
+                    *sv |= fresh;
+                    found += fresh.count_ones() as u64;
+                }
+            }
+            if found == 0 {
+                break;
+            }
+            self.record(d, found);
+            std::mem::swap(&mut frontier, &mut next);
+        }
+    }
+}
+
 /// Computes the path statistics of `g`.
 ///
-/// * [`PathMode::Exact`] sweeps every source: exact values in `O(n·m)`.
+/// * [`PathMode::Exact`] sweeps every source: exact values from ⌈n/64⌉
+///   batches, each costing one pass over the edges per BFS level.
 /// * [`PathMode::Sampled`] sweeps a uniform source sample: each BFS still
 ///   reaches all nodes, so the estimators are unbiased for the average and
 ///   the distribution, and the diameter is a lower bound (the standard
 ///   trade-off the harness documents for its large graphs).
+///
+/// Batches hold `min(64, ⌈sources / budget⌉)` sources, so a 64-source
+/// sample still splits across the thread budget; the batching changes no
+/// output bit.
 pub fn path_stats<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> PathStats {
     let n = g.node_count();
     if n == 0 {
-        return PathStats { diameter: 0, average_length: 0.0, distance_distribution: vec![0.0] };
+        return Sweep::default().finish();
     }
     let sources = sample_sources(n, mode, rng);
-
-    /// Chunk-local sweep state; `dist` is the reusable BFS scratch buffer
-    /// (merges ignore it).
-    struct Sweep {
-        hist: Vec<u64>,
-        total: u128,
-        pairs: u64,
-        diameter: u32,
-        dist: Vec<u32>,
-    }
-    let merged = pgb_par::par_fold_chunks(
-        sources.len(),
-        SOURCE_CHUNK,
-        || Sweep { hist: Vec::new(), total: 0, pairs: 0, diameter: 0, dist: Vec::new() },
-        |acc, range| {
-            for si in range {
-                let s = sources[si];
-                bfs_distances_into(g, s, &mut acc.dist);
-                for (v, &d) in acc.dist.iter().enumerate() {
-                    if d == UNREACHABLE || d == 0 || v as u32 == s {
-                        continue;
-                    }
-                    if d as usize >= acc.hist.len() {
-                        acc.hist.resize(d as usize + 1, 0);
-                    }
-                    acc.hist[d as usize] += 1;
-                    acc.total += d as u128;
-                    acc.pairs += 1;
-                    acc.diameter = acc.diameter.max(d);
-                }
-            }
-            // Drop the n-length scratch before the accumulator is parked
-            // for the chunk-order merge: an Exact-mode sweep has n/8
-            // chunks, and keeping every chunk's buffer alive until the
-            // merge barrier would cost O(n²/8) transient memory. The
-            // inline (1-thread) path re-allocates once per chunk instead
-            // of never — noise next to the chunk's 8 BFS traversals.
-            acc.dist = Vec::new();
-        },
-        |acc, other| {
-            if other.hist.len() > acc.hist.len() {
-                acc.hist.resize(other.hist.len(), 0);
-            }
-            for (h, o) in acc.hist.iter_mut().zip(other.hist) {
-                *h += o;
-            }
-            acc.total += other.total;
-            acc.pairs += other.pairs;
-            acc.diameter = acc.diameter.max(other.diameter);
-        },
-    );
-    finalize(merged.hist, merged.total, merged.pairs, merged.diameter)
+    let components = connected_components(g);
+    let lanes = sources.len().div_ceil(pgb_par::current_parallelism()).min(LANES);
+    // The lane width follows the thread budget, so the fold's per-batch
+    // tick charges would too: charge one tick per 64 sources up front and
+    // shield the fold, keeping a tick deadline's decision budget-independent.
+    pgb_par::cancel::checkpoint(sources.len().div_ceil(LANES) as u64);
+    pgb_par::cancel::shield_ticks(|| {
+        pgb_par::par_fold_chunks(
+            sources.len(),
+            lanes,
+            Sweep::default,
+            |acc, range| acc.bfs_batch(g, &components, &sources[range]),
+            Sweep::merge,
+        )
+    })
+    .finish()
 }
 
-/// The sequential reference implementation of [`path_stats`]: one
-/// left-to-right sweep reusing a single distance buffer. Consumes the same
-/// RNG draws and returns the same bits as the parallel sweep at any thread
-/// budget; kept public for the parallel-equivalence property tests and the
-/// `suite_scaling` bench.
+/// The independent oracle for [`path_stats`]: the textbook sweep, one
+/// sequential BFS per source over [`bfs_distances_into`] with a reused
+/// distance buffer. It shares only the source sampling (so both consume
+/// identical RNG draws) and the integer accumulator with the bit-parallel
+/// sweep, not the traversal; the property tests check the two return the
+/// same bits, and the `suite_scaling` bench measures the gap between them.
 pub fn path_stats_seq<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> PathStats {
     let n = g.node_count();
+    let mut sweep = Sweep::default();
     if n == 0 {
-        return PathStats { diameter: 0, average_length: 0.0, distance_distribution: vec![0.0] };
+        return sweep.finish();
     }
-    let sources = sample_sources(n, mode, rng);
-    let mut hist: Vec<u64> = Vec::new();
     let mut dist_buf = Vec::new();
-    let mut total: u128 = 0;
-    let mut pairs: u64 = 0;
-    let mut diameter: u32 = 0;
-    for &s in &sources {
+    for s in sample_sources(n, mode, rng) {
         bfs_distances_into(g, s, &mut dist_buf);
         for (v, &d) in dist_buf.iter().enumerate() {
             if d == UNREACHABLE || d == 0 || v as u32 == s {
                 continue;
             }
-            if d as usize >= hist.len() {
-                hist.resize(d as usize + 1, 0);
-            }
-            hist[d as usize] += 1;
-            total += d as u128;
-            pairs += 1;
-            diameter = diameter.max(d);
+            sweep.record(d, 1);
         }
     }
-    finalize(hist, total, pairs, diameter)
+    sweep.finish()
 }
 
 /// The BFS source list for `mode` — all nodes, or a uniform sample without
 /// replacement (partial Fisher–Yates) drawn from `rng`. Shared by the
-/// parallel and sequential sweeps so both consume identical draws.
+/// bit-parallel sweep and its oracle so both consume identical draws.
 fn sample_sources<R: Rng + ?Sized>(n: usize, mode: PathMode, rng: &mut R) -> Vec<u32> {
     match mode {
         PathMode::Exact => (0..n as u32).collect(),
@@ -154,17 +212,6 @@ fn sample_sources<R: Rng + ?Sized>(n: usize, mode: PathMode, rng: &mut R) -> Vec
             ids
         }
     }
-}
-
-/// Turns the merged integer sweep state into the reported statistics.
-fn finalize(hist: Vec<u64>, total: u128, pairs: u64, diameter: u32) -> PathStats {
-    let average_length = if pairs == 0 { 0.0 } else { total as f64 / pairs as f64 };
-    let distance_distribution = if pairs == 0 {
-        vec![0.0]
-    } else {
-        hist.iter().map(|&c| c as f64 / pairs as f64).collect()
-    };
-    PathStats { diameter, average_length, distance_distribution }
 }
 
 #[cfg(test)]
@@ -255,6 +302,32 @@ mod tests {
             let par = path_stats(&g, mode, &mut StdRng::seed_from_u64(9));
             let seq = path_stats_seq(&g, mode, &mut StdRng::seed_from_u64(9));
             assert_eq!(par, seq, "{mode:?}");
+        }
+    }
+
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// Pins the exact `PathStats` of a 600-node BA graph padded with 40
+    /// isolated nodes: several full 64-source batches plus a partial one,
+    /// and sources that reach nothing. Any change to the sweep's batching
+    /// must leave the diameter, the mean's bits and the distribution's bits
+    /// unchanged.
+    #[test]
+    fn output_pinned() {
+        let ba = pgb_models::barabasi_albert(600, 3, &mut StdRng::seed_from_u64(448));
+        let g = Graph::from_edges(640, ba.edges()).unwrap();
+        for (mode, want) in [
+            (PathMode::Exact, (6, 0x400a_3e3f_c9a9_0229, 0xa6be_7d00_ca6f_1680)),
+            (PathMode::Sampled { sources: 150 }, (6, 0x400a_3a36_9438_4544, 0x929c_f012_7402_b9fd)),
+        ] {
+            let s = path_stats(&g, mode, &mut StdRng::seed_from_u64(449));
+            let dist = s
+                .distance_distribution
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, p| fnv1a(h, &p.to_bits().to_le_bytes()));
+            assert_eq!((s.diameter, s.average_length.to_bits(), dist), want, "{mode:?}");
         }
     }
 

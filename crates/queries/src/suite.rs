@@ -24,10 +24,12 @@
 //!
 //! The shared passes themselves are parallel: the degree histogram, the
 //! triangle pass (via the degree-ordered [`counting::ForwardOrientation`]),
-//! the BFS sweep, and Louvain's init/aggregation scans are chunked on
-//! `pgb-par`'s fixed-boundary discipline and pick up the **ambient**
-//! [`pgb_par::current_parallelism`] budget — the benchmark runner's
-//! schedulers already scope every repetition with
+//! and Louvain's init/aggregation scans are chunked on `pgb-par`'s
+//! fixed-boundary discipline, and the BFS sweep runs its bit-parallel
+//! batches of up to 64 sources as chunks (batch width shrinks with the
+//! budget so a 64-source sample still spreads over the threads). All pick
+//! up the **ambient** [`pgb_par::current_parallelism`] budget — the
+//! benchmark runner's schedulers already scope every repetition with
 //! `pgb_par::with_parallelism`, so evaluation scales with the intra-cell
 //! thread budget without any new plumbing, and every pass is bit-identical
 //! at any thread count (chunk merges are exact-integer or order-preserving

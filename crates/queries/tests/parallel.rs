@@ -41,6 +41,29 @@ fn random_graph(n: usize, p_mille: u64, seed: u64) -> Graph {
     Graph::from_edges(n, edges).unwrap()
 }
 
+/// The lane-edge sizes the random draw only hits by chance: one source
+/// short of a full 64-lane batch, exactly one batch, one over, and two
+/// full batches, each against source samples on both sides of the edges.
+#[test]
+fn bfs_sweep_matches_seq_at_lane_boundaries() {
+    for (i, n) in [63usize, 64, 65, 128].into_iter().enumerate() {
+        let g = random_graph(n, 40, 700 + i as u64);
+        for mode in [1, 63, 64, 65, 129]
+            .map(|sources| PathMode::Sampled { sources })
+            .into_iter()
+            .chain([PathMode::Exact])
+        {
+            let reference = path_stats_seq(&g, mode, &mut StdRng::seed_from_u64(5));
+            for threads in BUDGETS {
+                let stats = with_parallelism(threads, || {
+                    path_stats(&g, mode, &mut StdRng::seed_from_u64(5))
+                });
+                assert_eq!(stats, reference, "n = {n}, {mode:?}, threads = {threads}");
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn triangle_pass_matches_seq_at_all_budgets(
@@ -64,10 +87,12 @@ proptest! {
 
     #[test]
     fn bfs_sweep_matches_seq_at_all_budgets(
-        n in 2usize..100,
+        // Node and source counts cross the 64-lane batch boundary, so full
+        // batches run next to a partial one in both modes.
+        n in 2usize..200,
         p in 0u64..120,
         seed in 0u64..1 << 32,
-        sources in 1usize..24,
+        sources in 1usize..150,
     ) {
         let g = random_graph(n, p, seed);
         for mode in [PathMode::Exact, PathMode::Sampled { sources }] {
