@@ -8,7 +8,7 @@
 //! run (measured: 2.71 s / 2.86 s / 2.72 s at threads 1 / 2 / 8 on this
 //! 1-core container).
 //!
-//! Run with `cargo bench --bench suite_scaling`. Two groups:
+//! Run with `cargo bench --bench suite_scaling`. Four groups:
 //!
 //! * `suite_scaling` — the full 15-query suite on a 10⁵-node
 //!   Barabási–Albert graph (sampled BFS, the harness' mode at this scale)
@@ -25,6 +25,12 @@
 //!   `bfs64/par1` runs the 64 sampled sources as one bit-parallel batch
 //!   where `bfs64/seq`, the per-source oracle, runs 64 separate BFS
 //!   traversals.
+//! * `bfs64_budgets` — the harness' 64-source sampled BFS sweep alone at
+//!   thread budgets {1, 2, 4, 8} on the Minnesota road-network stand-in
+//!   (diameter ≈ 100), the poli-large stand-in and the BA graph. The
+//!   sweep runs 64-source batches at every budget, so a 64-source sample
+//!   is one batch on one thread and larger budgets should neither help
+//!   nor cost; the runs behind that choice are in `BENCH_PATHS.json`.
 //!
 //! * `suite_eval_mode` — Exact vs Approx (`EvalMode`) evaluation of the
 //!   eight sketch-backed queries (Q3, Q5–Q11) on a 10⁶-node BA graph at a
@@ -45,6 +51,7 @@
 //! (`crates/queries/tests/parallel.rs`); this bench only measures time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pgb_datasets::Dataset;
 use pgb_queries::counting::{self, triangles_per_node};
 use pgb_queries::path::{path_stats, path_stats_seq};
 use pgb_queries::{ApproxConfig, EvalMode, PathMode, Query, QueryParams, QuerySuite};
@@ -124,6 +131,32 @@ fn bench_seq_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_bfs64_budgets(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(17);
+    let graphs = [
+        ("Minnesota", Dataset::Minnesota.generate(7)),
+        ("poli-large", Dataset::PoliLarge.generate(7)),
+        ("ba_100k", pgb_models::barabasi_albert(100_000, 4, &mut rng)),
+    ];
+    let mode = PathMode::Sampled { sources: 64 };
+    let mut group = c.benchmark_group("bfs64_budgets");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_millis(500));
+    for (name, g) in &graphs {
+        for threads in [1usize, 2, 4, 8] {
+            group.bench_with_input(BenchmarkId::new(*name, threads), &threads, |b, &threads| {
+                b.iter(|| {
+                    pgb_par::with_parallelism(threads, || {
+                        path_stats(g, mode, &mut StdRng::seed_from_u64(5))
+                    })
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_eval_modes(c: &mut Criterion) {
     // Streaming build: the 8M-edge BA stream is counting-sorted straight
     // into CSR, never holding the unsorted pair list.
@@ -179,5 +212,11 @@ fn bench_eval_modes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_suite_scaling, bench_seq_overhead, bench_eval_modes);
+criterion_group!(
+    benches,
+    bench_suite_scaling,
+    bench_seq_overhead,
+    bench_bfs64_budgets,
+    bench_eval_modes
+);
 criterion_main!(benches);

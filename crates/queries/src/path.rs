@@ -143,9 +143,10 @@ impl Sweep {
 ///   the distribution, and the diameter is a lower bound (the standard
 ///   trade-off the harness documents for its large graphs).
 ///
-/// Batches hold `min(64, ⌈sources / budget⌉)` sources, so a 64-source
-/// sample still splits across the thread budget; the batching changes no
-/// output bit.
+/// Batches always hold 64 sources (the last one the remainder), whatever
+/// the thread budget: a batch costs about one pass over the edges per
+/// level at any width, so splitting a 64-source sample into narrower
+/// batches would multiply the work without shortening the sweep.
 pub fn path_stats<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> PathStats {
     let n = g.node_count();
     if n == 0 {
@@ -153,20 +154,13 @@ pub fn path_stats<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> Pa
     }
     let sources = sample_sources(n, mode, rng);
     let components = connected_components(g);
-    let lanes = sources.len().div_ceil(pgb_par::current_parallelism()).min(LANES);
-    // The lane width follows the thread budget, so the fold's per-batch
-    // tick charges would too: charge one tick per 64 sources up front and
-    // shield the fold, keeping a tick deadline's decision budget-independent.
-    pgb_par::cancel::checkpoint(sources.len().div_ceil(LANES) as u64);
-    pgb_par::cancel::shield_ticks(|| {
-        pgb_par::par_fold_chunks(
-            sources.len(),
-            lanes,
-            Sweep::default,
-            |acc, range| acc.bfs_batch(g, &components, &sources[range]),
-            Sweep::merge,
-        )
-    })
+    pgb_par::par_fold_chunks(
+        sources.len(),
+        LANES,
+        Sweep::default,
+        |acc, range| acc.bfs_batch(g, &components, &sources[range]),
+        Sweep::merge,
+    )
     .finish()
 }
 

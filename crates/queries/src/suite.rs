@@ -26,8 +26,8 @@
 //! triangle pass (via the degree-ordered [`counting::ForwardOrientation`]),
 //! and Louvain's init/aggregation scans are chunked on `pgb-par`'s
 //! fixed-boundary discipline, and the BFS sweep runs its bit-parallel
-//! batches of up to 64 sources as chunks (batch width shrinks with the
-//! budget so a 64-source sample still spreads over the threads). All pick
+//! batches of 64 sources as chunks (so a 64-source sample is one batch at
+//! any budget: a narrower batch costs about as much as a full one). All pick
 //! up the **ambient** [`pgb_par::current_parallelism`] budget — the
 //! benchmark runner's schedulers already scope every repetition with
 //! `pgb_par::with_parallelism`, so evaluation scales with the intra-cell
