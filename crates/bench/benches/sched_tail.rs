@@ -1,17 +1,14 @@
-//! Scheduler tail behaviour: the grid shape the elastic budget exists for.
+//! Grid tail behaviour: the grid shape the elastic thread budget exists for.
 //!
 //! A grid of `available_parallelism() + 2` cells run with `threads =
-//! available_parallelism()` leaves the static split's tail cells on a
-//! 1-thread budget while the finished workers' threads idle; the elastic
-//! ledger re-grants those threads per claimed (cell, repetition-block)
-//! sub-task. Run with `cargo bench --bench sched_tail`: on multi-core
-//! hardware `elastic` should be ≥ `static` in wall-clock (up to ~1.8× on
-//! tail-heavy grids); on a single core the two should be within ~5% —
-//! that overhead bound is what this bench records in CI-like containers.
-//! Output is byte-identical between the modes either way.
+//! available_parallelism()` drains below the worker count at its tail. The
+//! grid executor's ledger re-grants the threads of finished workers to each
+//! claimed (cell, repetition-block) sub-task, so the tail cells run on
+//! more than a one-thread share. Run with `cargo bench --bench sched_tail`
+//! and compare the recorded wall-clock across commits on the same machine.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pgb_core::benchmark::{run_benchmark, BenchmarkConfig, Scheduler};
+use criterion::{criterion_group, criterion_main, Criterion};
+use pgb_core::benchmark::{run_benchmark, BenchmarkConfig};
 use pgb_core::{par, GraphGenerator, TmF};
 use pgb_queries::Query;
 use rand::rngs::StdRng;
@@ -26,28 +23,22 @@ fn bench_sched_tail(c: &mut Criterion) {
     let datasets = vec![("ba".to_string(), g)];
     let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(TmF::default())];
     // One ε per cell: cores + 2 cells of one (dataset, algorithm) pair.
-    let epsilons: Vec<f64> = (0..cores + 2).map(|i| 0.5 + 0.25 * i as f64).collect();
+    let config = BenchmarkConfig {
+        epsilons: (0..cores + 2).map(|i| 0.5 + 0.25 * i as f64).collect(),
+        repetitions: 2,
+        queries: vec![Query::EdgeCount, Query::Triangles, Query::DegreeDistribution],
+        seed: 3,
+        threads: cores,
+        ..Default::default()
+    };
 
     let mut group = c.benchmark_group("sched_tail");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(5));
     group.warm_up_time(std::time::Duration::from_millis(800));
-    for sched in [Scheduler::Static, Scheduler::Elastic] {
-        let config = BenchmarkConfig {
-            epsilons: epsilons.clone(),
-            repetitions: 2,
-            queries: vec![Query::EdgeCount, Query::Triangles, Query::DegreeDistribution],
-            seed: 3,
-            threads: cores,
-            sched,
-            ..Default::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("grid_cores_plus_2", sched.name()),
-            &config,
-            |b, config| b.iter(|| run_benchmark(&algorithms, &datasets, config)),
-        );
-    }
+    group.bench_function("grid_cores_plus_2", |b| {
+        b.iter(|| run_benchmark(&algorithms, &datasets, &config))
+    });
     group.finish();
 }
 

@@ -109,36 +109,33 @@ fn local_moving<R: Rng + ?Sized>(
         order.swap(i, j);
     }
     let mut improved_any = false;
-    // Scratch: weight from the moving node to each neighbouring community.
-    let mut to_comm: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+    // Scratch: weight from the moving node to each neighbouring community,
+    // dense by community id, and the communities it touched. Edge weights
+    // are positive, so an entry still at zero has not been touched yet.
+    let mut to_comm = vec![0.0f64; n];
+    let mut touched: Vec<u32> = Vec::new();
     for _sweep in 0..params.max_sweeps {
         let mut gain_this_sweep = 0.0;
         for &u in &order {
             let cu = labels[u as usize];
-            to_comm.clear();
             for &(v, w) in g.neighbors(u) {
-                *to_comm.entry(labels[v as usize]).or_insert(0.0) += w;
+                let c = labels[v as usize];
+                if to_comm[c as usize] == 0.0 {
+                    touched.push(c);
+                }
+                to_comm[c as usize] += w;
             }
             let ku = degree[u as usize];
             comm_total[cu as usize] -= ku;
-            let base =
-                to_comm.get(&cu).copied().unwrap_or(0.0) - ku * comm_total[cu as usize] / two_m;
-            let (mut best_comm, mut best_gain) = (cu, 0.0f64);
-            for (&c, &w_uc) in &to_comm {
-                if c == cu {
-                    continue;
-                }
-                // ΔQ of moving u into c (constant factors dropped). Ties
-                // break towards the smaller community id so the result is
-                // independent of HashMap iteration order.
-                let gain = w_uc - ku * comm_total[c as usize] / two_m - base;
-                if gain > best_gain + 1e-12
-                    || (gain > best_gain - 1e-12 && best_comm != cu && c < best_comm)
-                {
-                    best_gain = gain.max(best_gain);
-                    best_comm = c;
-                }
+            let base = to_comm[cu as usize] - ku * comm_total[cu as usize] / two_m;
+            // ΔQ of moving u into c (constant factors dropped).
+            let (best_comm, best_gain) = best_move(cu, &mut touched, |c| {
+                to_comm[c as usize] - ku * comm_total[c as usize] / two_m - base
+            });
+            for &c in &touched {
+                to_comm[c as usize] = 0.0;
             }
+            touched.clear();
             comm_total[best_comm as usize] += ku;
             if best_comm != cu {
                 labels[u as usize] = best_comm;
@@ -151,6 +148,27 @@ fn local_moving<R: Rng + ?Sized>(
         }
     }
     (labels, improved_any)
+}
+
+/// Picks the community a node leaves `cu` for: the `candidates` entry
+/// (other than `cu`) with the largest `gain`, or `(cu, 0.0)` when none
+/// gains more than 1e-12. Candidates are scanned in ascending id, and one
+/// replaces the best so far only when it gains more by over 1e-12, so of
+/// two near-tied candidates the smaller id wins. The scan order has to be
+/// fixed because near-ties do not chain: with ids a < b < c and gains g,
+/// g + 0.8e-12 and g + 1.6e-12, the ascending scan picks c, while a scan
+/// starting at b keeps b. Sorting makes the pick a function of the
+/// candidate set alone, never of hash or insertion order.
+fn best_move(cu: u32, candidates: &mut [u32], gain: impl Fn(u32) -> f64) -> (u32, f64) {
+    candidates.sort_unstable();
+    let mut best = (cu, 0.0f64);
+    for &c in candidates.iter().filter(|&&c| c != cu) {
+        let g = gain(c);
+        if g > best.1 + 1e-12 {
+            best = (c, g);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -253,5 +271,55 @@ mod tests {
             louvain(&g, &LouvainParams::default(), &mut rng)
         };
         assert_eq!(run(7).labels(), run(7).labels());
+    }
+
+    #[test]
+    fn best_move_is_independent_of_candidate_order() {
+        // The near-tie chain a < b < c that a first-seen scan resolves
+        // differently by order; the own community (7) is a candidate too
+        // and must be skipped.
+        let (a, b, c, cu) = (3u32, 5u32, 9u32, 7u32);
+        let gain = |x: u32| match x {
+            3 => 0.5,
+            5 => 0.5 + 0.8e-12,
+            9 => 0.5 + 1.6e-12,
+            _ => 2.0,
+        };
+        for order in [[a, b, c], [a, c, b], [b, a, c], [b, c, a], [c, a, b], [c, b, a]] {
+            let mut candidates = vec![cu, order[0], order[1], order[2]];
+            assert_eq!(best_move(cu, &mut candidates, gain), (c, gain(c)), "{order:?}");
+        }
+        // No candidate gains more than 1e-12: stay.
+        assert_eq!(best_move(cu, &mut [cu, a], |_| 1e-13), (cu, 0.0));
+    }
+
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    fn labels_hash(p: &Partition) -> u64 {
+        p.labels().iter().fold(0xcbf2_9ce4_8422_2325, |h, l| fnv1a(h, &l.to_le_bytes()))
+    }
+
+    /// Pins Louvain's output byte for byte: the partition of a hub-heavy
+    /// unweighted graph (the community-detection query's input) and of a
+    /// weighted graph with non-integer weights (PrivGraph's phase-1 input).
+    /// A change to the local-moving scan must leave both hashes unchanged.
+    #[test]
+    fn output_pinned() {
+        let g = pgb_models::barabasi_albert(600, 3, &mut StdRng::seed_from_u64(460));
+        let unweighted = louvain(&g, &LouvainParams::default(), &mut StdRng::seed_from_u64(461));
+        let mut rng = StdRng::seed_from_u64(462);
+        let mut w = WeightedGraph::new(200);
+        for _ in 0..1200 {
+            let (u, v) = (rng.gen_range(0..200), rng.gen_range(0..200));
+            w.add_edge(u, v, rng.gen_range(0.01..3.0));
+        }
+        let weighted = louvain_weighted(&w, &LouvainParams::default(), &mut rng);
+        assert_eq!((unweighted.community_count(), weighted.community_count()), (13, 11));
+        assert_eq!(
+            (labels_hash(&unweighted), labels_hash(&weighted)),
+            (0x4f3d_3f1b_a41d_c07f, 0xb328_ed1e_514e_bec3)
+        );
     }
 }

@@ -7,7 +7,6 @@ use pgb_graph::Graph;
 use pgb_queries::{Query, QueryParams, QuerySuite, QueryValue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Configuration of a benchmark run: the P and U of the 4-tuple plus
@@ -26,18 +25,15 @@ pub struct BenchmarkConfig {
     /// stream from it.
     pub seed: u64,
     /// Total thread budget (0 ⇒ available parallelism), shared between
-    /// task-level workers and intra-cell generator parallelism. How the
-    /// budget is divided over the task queue is the [`Scheduler`]'s job
-    /// (see [`BenchmarkConfig::sched`]); either way, results are
-    /// byte-identical for every value of `threads` (the derived-stream
-    /// discipline holds at both levels).
+    /// task-level workers and intra-cell generator parallelism: the grid's
+    /// (cell, repetition-block) sub-tasks are claimed from a
+    /// [`crate::par::BudgetLedger`], and every claim re-grants the live
+    /// pool share, so threads released by finished workers flow to the
+    /// tail of the queue. Results are byte-identical for every value of
+    /// `threads` (the derived-stream discipline holds at both levels).
     pub threads: usize,
-    /// How the thread budget follows the draining task queue — see
-    /// [`Scheduler`]. Scheduling only: both variants produce byte-identical
-    /// CSV for a fixed seed.
-    pub sched: Scheduler,
     /// How often the mechanisms' measure phase runs — see [`MeasureReuse`].
-    /// Unlike `sched`/`threads`, this knob *does* change the numbers:
+    /// Unlike `threads`, this knob *does* change the numbers:
     /// per-cell reuse correlates a cell's repetitions through one shared
     /// private intermediate.
     pub reuse: MeasureReuse,
@@ -52,8 +48,18 @@ impl Default for BenchmarkConfig {
             query_params: QueryParams::default(),
             seed: 0,
             threads: 0,
-            sched: Scheduler::default(),
             reuse: MeasureReuse::default(),
+        }
+    }
+}
+
+impl BenchmarkConfig {
+    /// `threads` resolved: 0 ⇒ the machine's available parallelism.
+    pub(crate) fn thread_budget(&self) -> usize {
+        if self.threads == 0 {
+            crate::par::available_parallelism()
+        } else {
+            self.threads
         }
     }
 }
@@ -77,7 +83,7 @@ pub enum MeasureReuse {
     /// intermediate's noise, so per-cell averages estimate the *sampling*
     /// variance around one measurement rather than the full mechanism
     /// variance: numbers differ from [`MeasureReuse::PerRep`] by design
-    /// (they remain byte-identical across thread counts and schedulers).
+    /// (they remain byte-identical across thread counts).
     PerCell,
 }
 
@@ -99,63 +105,6 @@ impl std::str::FromStr for MeasureReuse {
             "rep" => Ok(MeasureReuse::PerRep),
             "cell" => Ok(MeasureReuse::PerCell),
             other => Err(format!("unknown reuse mode {other:?} (expected \"rep\" or \"cell\")")),
-        }
-    }
-}
-
-/// How [`run_benchmark`] divides [`BenchmarkConfig::threads`] over the
-/// grid's task queue.
-///
-/// Both schedulers honour the same derived-stream discipline (every
-/// repetition runs on `cell_rng(seed, dataset, algorithm, ε, rep)` and
-/// per-cell errors reduce in repetition order), so **output is
-/// byte-identical between the two** — the choice affects wall-clock only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Scheduler {
-    /// The pre-elastic baseline: one task per (dataset, algorithm, ε) cell
-    /// and an intra-cell budget of `threads / workers` computed **once at
-    /// spawn**. Kept as an escape hatch for comparison; on grids slightly
-    /// larger than the core count it strands the threads of finished
-    /// workers while tail cells keep their small static share.
-    Static,
-    /// The default: the grid is split into (cell, repetition-block)
-    /// sub-tasks claimed from a shared [`crate::par::BudgetLedger`], and
-    /// every claim re-computes the worker's intra-cell budget from the
-    /// *live* pool and remaining-task count — threads released by finished
-    /// workers flow to the tail of the queue. Transient oversubscription
-    /// is bounded by `threads + workers − 1`. Sub-tasks are handed out in
-    /// **cost order** (largest first) rather than grid order, so the
-    /// expensive DER/PrivHRG cells on large datasets start first and the
-    /// queue's tail is made of cheap cells. The cost key is an online
-    /// per-algorithm EWMA of observed cell times (see [`CostModel`]):
-    /// algorithms without an observation yet rank first (exploration),
-    /// ordered by the static [`algorithm_cost_weight`] seed, and once a
-    /// sub-task of an algorithm completes, its measured time-per-n² takes
-    /// over.
-    #[default]
-    Elastic,
-}
-
-impl Scheduler {
-    /// CLI-facing name (`"static"` / `"elastic"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduler::Static => "static",
-            Scheduler::Elastic => "elastic",
-        }
-    }
-}
-
-impl std::str::FromStr for Scheduler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "static" => Ok(Scheduler::Static),
-            "elastic" => Ok(Scheduler::Elastic),
-            other => {
-                Err(format!("unknown scheduler {other:?} (expected \"static\" or \"elastic\")"))
-            }
         }
     }
 }
@@ -255,14 +204,7 @@ impl BenchmarkResults {
 
 /// Derives a deterministic per-cell RNG from the master seed — cells are
 /// independent, so runs are reproducible regardless of thread scheduling.
-/// Crate-visible so the temporal runner derives from the same family.
-pub(crate) fn cell_rng(
-    seed: u64,
-    dataset_idx: usize,
-    algo_idx: usize,
-    eps_idx: usize,
-    rep: usize,
-) -> StdRng {
+fn cell_rng(seed: u64, dataset_idx: usize, algo_idx: usize, eps_idx: usize, rep: usize) -> StdRng {
     let mut h = seed ^ 0xA076_1D64_78BD_642F;
     for x in [dataset_idx as u64, algo_idx as u64, eps_idx as u64, rep as u64] {
         h ^= x.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(h << 6).wrapping_add(h >> 2);
@@ -275,176 +217,14 @@ pub(crate) fn cell_rng(
 /// the `rep = usize::MAX` slot of the cell's derivation family, which no
 /// real repetition can occupy — whichever worker performs the cell's one
 /// measurement, it draws the same bytes.
-pub(crate) fn measure_rng(
-    seed: u64,
-    dataset_idx: usize,
-    algo_idx: usize,
-    eps_idx: usize,
-) -> StdRng {
+fn measure_rng(seed: u64, dataset_idx: usize, algo_idx: usize, eps_idx: usize) -> StdRng {
     cell_rng(seed, dataset_idx, algo_idx, eps_idx, usize::MAX)
 }
 
-/// A cell's shared measurement under [`MeasureReuse::PerCell`]: the private
-/// intermediate, or `None` when `measure` failed (every repetition of the
-/// cell then skips, preserving the complete-grid `runs = 0` contract).
-type MeasuredCell = Option<Box<dyn PrivateSynthesis>>;
-
-/// Performs a cell's one shared measurement on its dedicated stream.
-fn measure_cell(
-    algorithm: &dyn GraphGenerator,
-    graph: &Graph,
-    config: &BenchmarkConfig,
-    (di, ai, ei): (usize, usize, usize),
-) -> MeasuredCell {
-    let mut rng = measure_rng(config.seed, di, ai, ei);
-    algorithm.measure(graph, config.epsilons[ei], &mut rng).ok()
-}
-
-/// One repetition of a cell: produce the synthetic graph on the rep's
-/// derived RNG — the full `generate` pipeline per-rep, or an ε-free
-/// `sample` of the cell's `shared` intermediate per-cell — evaluate the
-/// query suite, and return the per-query errors, or `None` when generation
-/// failed (the repetition is skipped, not averaged). Both schedulers run
-/// repetitions through this one function, which is half of what makes
-/// their output byte-identical (the other half is [`reduce_cell`]'s fixed
-/// reduction order).
-fn run_rep(
-    algorithm: &dyn GraphGenerator,
-    graph: &Graph,
-    true_values: &[QueryValue],
-    config: &BenchmarkConfig,
-    (di, ai, ei): (usize, usize, usize),
-    rep: usize,
-    shared: Option<&MeasuredCell>,
-) -> Option<Vec<f64>> {
-    let mut rng = cell_rng(config.seed, di, ai, ei, rep);
-    let synthetic = match shared {
-        // Per-rep: the full measure + sample pipeline on the rep's stream.
-        None => algorithm.generate(graph, config.epsilons[ei], &mut rng).ok()?,
-        // Per-cell: ε-free re-sample of the cell's shared intermediate.
-        Some(Some(measured)) => measured.sample(&mut rng),
-        // Per-cell with a failed measurement: every rep of the cell skips.
-        Some(None) => return None,
-    };
-    let values =
-        QuerySuite::evaluate_all(&synthetic, &config.queries, &config.query_params, &mut rng);
-    Some(
-        config
-            .queries
-            .iter()
-            .zip(&values)
-            .enumerate()
-            .map(|(qi, (q, v))| compute_error(*q, &true_values[qi], v))
-            .collect(),
-    )
-}
-
-/// Folds a cell's per-repetition error vectors — **in repetition order** —
-/// into the averaged [`ExperimentOutcome`] row per query. The float
-/// summation order is therefore fixed regardless of which worker computed
-/// which repetition, and identical between the static and elastic
-/// schedulers.
-fn reduce_cell(
-    algorithm: &str,
-    dataset: &str,
-    epsilon: f64,
-    config: &BenchmarkConfig,
-    rep_errors: impl Iterator<Item = Option<Vec<f64>>>,
-) -> Vec<ExperimentOutcome> {
-    let mut error_sums = vec![0.0f64; config.queries.len()];
-    let mut runs = 0usize;
-    for errors in rep_errors.flatten() {
-        for (sum, e) in error_sums.iter_mut().zip(&errors) {
-            *sum += e;
-        }
-        runs += 1;
-    }
-    config
-        .queries
-        .iter()
-        .enumerate()
-        .map(|(qi, q)| ExperimentOutcome {
-            algorithm: algorithm.to_string(),
-            dataset: dataset.to_string(),
-            epsilon,
-            query: *q,
-            metric: metric_for(*q),
-            mean_error: if runs == 0 { f64::NAN } else { error_sums[qi] / runs as f64 },
-            runs,
-        })
-        .collect()
-}
-
-/// The static scheduler (PR-3 behaviour): one task per cell, and the
-/// budget split `budget / workers` once at spawn, remainder spread one
-/// extra thread over the first `budget mod workers` workers.
-fn run_grid_static(
-    algorithms: &[Box<dyn GraphGenerator>],
-    datasets: &[(String, Graph)],
-    config: &BenchmarkConfig,
-    true_values: &[Vec<QueryValue>],
-    tasks: &[(usize, usize, usize)],
-    budget: usize,
-) -> Vec<ExperimentOutcome> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Vec<ExperimentOutcome>>> =
-        (0..tasks.len()).map(|_| OnceLock::new()).collect();
-    let workers = budget.min(tasks.len().max(1));
-    let intra_threads = budget / workers; // ≥ 1: workers ≤ budget
-    let intra_extra = budget % workers;
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let intra = intra_threads + usize::from(w < intra_extra);
-            // `move` captures `intra` by value; everything shared is
-            // re-bound as a reference so the workers still borrow it.
-            let (next, slots) = (&next, &slots);
-            scope.spawn(move || {
-                crate::par::with_parallelism(intra, || loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tasks.len() {
-                        break;
-                    }
-                    let (di, ai, ei) = tasks[t];
-                    let (dataset_name, graph) = &datasets[di];
-                    let algorithm = &algorithms[ai];
-                    // Static mode owns whole cells, so per-cell reuse needs
-                    // no cross-worker sharing: measure locally, once.
-                    let shared = (config.reuse == MeasureReuse::PerCell)
-                        .then(|| measure_cell(algorithm.as_ref(), graph, config, (di, ai, ei)));
-                    let local = reduce_cell(
-                        algorithm.name(),
-                        dataset_name,
-                        config.epsilons[ei],
-                        config,
-                        (0..config.repetitions.max(1)).map(|rep| {
-                            run_rep(
-                                algorithm.as_ref(),
-                                graph,
-                                &true_values[di],
-                                config,
-                                (di, ai, ei),
-                                rep,
-                                shared.as_ref(),
-                            )
-                        }),
-                    );
-                    slots[t].set(local).expect("the atomic cursor hands out each task once");
-                });
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .flat_map(|slot| slot.into_inner().expect("every claimed task publishes its slot"))
-        .collect()
-}
-
-/// Sub-tasks a worker aims to claim over the run, elastic mode: enough
-/// over-partitioning that the queue's tail still spreads over the pool,
-/// without per-repetition scheduling overhead on wide grids.
-pub(crate) const ELASTIC_TASKS_PER_WORKER: usize = 4;
+/// Sub-tasks a worker aims to claim over the run: enough over-partitioning
+/// that the queue's tail still spreads over the pool, without
+/// per-repetition scheduling overhead on wide grids.
+const ELASTIC_TASKS_PER_WORKER: usize = 4;
 
 /// Static relative cost weight of one repetition of `algorithm` (matched
 /// by display name), from the Table VIII / Table IX complexity and
@@ -541,7 +321,7 @@ fn n2(n: usize) -> f64 {
 /// breaking exact key ties toward the smaller `tie` coordinate (grid
 /// order). The pool must be non-empty — [`crate::exec::run_elastic`] hands
 /// out exactly one ticket per sub-task.
-pub(crate) fn pop_costliest<K>(pending: &std::sync::Mutex<Vec<usize>>, key: K) -> usize
+fn pop_costliest<K>(pending: &std::sync::Mutex<Vec<usize>>, key: K) -> usize
 where
     K: Fn(usize) -> ((bool, f64), (usize, usize)),
 {
@@ -561,115 +341,248 @@ where
     pool.swap_remove(at)
 }
 
-/// The elastic scheduler: (cell, repetition-block) sub-tasks claimed from
-/// a [`crate::par::BudgetLedger`], each claim re-granting the live pool share. Every
-/// repetition publishes its error vector into a per-rep [`OnceLock`] slot;
-/// cells are reduced in repetition order afterwards, so the output is
-/// byte-identical to the static path.
-fn run_grid_elastic(
-    algorithms: &[Box<dyn GraphGenerator>],
-    datasets: &[(String, Graph)],
-    config: &BenchmarkConfig,
-    true_values: &[Vec<QueryValue>],
-    tasks: &[(usize, usize, usize)],
-    budget: usize,
-) -> Vec<ExperimentOutcome> {
-    let reps = config.repetitions.max(1);
-    let cells = tasks.len();
-    // Block size: aim for ~ELASTIC_TASKS_PER_WORKER sub-tasks per worker,
-    // never finer than one repetition per sub-task. Scheduling only — any
-    // block size yields the same output.
-    let worker_cap = budget.min(cells.saturating_mul(reps)).max(1);
-    let blocks_per_cell =
-        (worker_cap * ELASTIC_TASKS_PER_WORKER).div_ceil(cells.max(1)).clamp(1, reps);
-    let block = reps.div_ceil(blocks_per_cell);
-    let mut subtasks: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    for cell in 0..cells {
-        let mut start = 0;
-        while start < reps {
-            let end = (start + block).min(reps);
-            subtasks.push((cell, start..end));
-            start = end;
-        }
-    }
-    // Cost-aware claim order: hand out predicted-expensive (cell,
-    // repetition-block) sub-tasks first, so a DER cell on the largest
-    // dataset cannot become a serial tail after the cheap cells drain. The
-    // prediction is the live [`CostModel`]: unobserved algorithms first
-    // (static-seed order), then measured EWMA × n² — each completed
-    // sub-task feeds its wall time back in. Pure scheduling — each
-    // sub-task's repetitions still run on their own derived cell RNG and
-    // publish into cell-major slots reduced in grid order, so the CSV is
-    // byte-identical to grid-order claiming (asserted in
-    // `tests/scheduler.rs`).
-    let model = CostModel::new(algorithms.iter().map(|a| a.name()));
-    let pending: std::sync::Mutex<Vec<usize>> =
-        std::sync::Mutex::new((0..subtasks.len()).collect());
-    // One slot per (cell, repetition), cell-major — the reduction below
-    // walks them in repetition order no matter who filled them when.
-    let rep_slots: Vec<OnceLock<Option<Vec<f64>>>> =
-        (0..cells * reps).map(|_| OnceLock::new()).collect();
-    // Per-cell shared measurements (per-cell reuse only): a cell's
-    // repetition blocks may land on different workers, so whichever worker
-    // gets there first measures on the cell's dedicated stream and the
-    // rest reuse it — `measure_rng` is a pure function of the cell
-    // coordinates, so the race's winner does not affect the bytes.
-    let measured: Vec<OnceLock<MeasuredCell>> = (0..cells).map(|_| OnceLock::new()).collect();
+/// A cell's grid coordinates: (dataset, algorithm, ε) indices.
+pub(crate) type CellIndex = (usize, usize, usize);
 
-    // The worker/claim loop itself — ledger claims plus elastic per-task
-    // grants that can grow mid-task as other workers release threads
-    // (`BudgetLedger::regrant`, polled by `par_collect`) — is the shared
-    // execution core `pgb-serve` also runs its request pipeline on.
+/// One kind of benchmark grid, as [`run_cells`] drives it: the static
+/// Table VII grid ([`run_benchmark`]) and the windowed temporal grid
+/// ([`crate::benchmark::run_temporal_benchmark`]) each implement it once.
+pub(crate) trait Cells: Sync {
+    /// A cell's shared private intermediate under [`MeasureReuse::PerCell`].
+    type Measured: Send + Sync;
+    /// One output row.
+    type Row;
+
+    /// Node count of dataset `di`: the n of the cost model's n² key.
+    fn node_count(&self, di: usize) -> usize;
+
+    /// The cell's one shared measurement on its dedicated stream, or
+    /// `None` when `measure` failed (every repetition of the cell then
+    /// skips, preserving the complete-grid `runs = 0` contract).
+    fn measure(&self, cell: CellIndex, rng: &mut StdRng) -> Option<Self::Measured>;
+
+    /// One repetition on the rep's derived stream: generate — the full
+    /// pipeline when `shared` is `None`, an ε-free `sample` of the cell's
+    /// intermediate otherwise — evaluate, and return the error vector, or
+    /// `None` when generation failed (the repetition is skipped, not
+    /// averaged).
+    fn run_rep(
+        &self,
+        cell: CellIndex,
+        rng: &mut StdRng,
+        shared: Option<&Self::Measured>,
+    ) -> Option<Vec<f64>>;
+
+    /// The cell's output rows from its per-repetition error vectors, which
+    /// arrive **in repetition order** (see [`mean_errors`]).
+    fn reduce(
+        &self,
+        cell: CellIndex,
+        rep_errors: impl Iterator<Item = Option<Vec<f64>>>,
+    ) -> Vec<Self::Row>;
+}
+
+/// Averages a cell's `width`-entry error vectors in the order given:
+/// returns the per-entry means (`NaN` when no repetition succeeded) and the
+/// number of successful repetitions. The float summation order is fixed by
+/// the iterator, never by which worker computed which repetition.
+pub(crate) fn mean_errors(
+    rep_errors: impl Iterator<Item = Option<Vec<f64>>>,
+    width: usize,
+) -> (Vec<f64>, usize) {
+    let mut sums = vec![0.0f64; width];
+    let mut runs = 0usize;
+    for errors in rep_errors.flatten() {
+        debug_assert_eq!(errors.len(), width);
+        for (sum, e) in sums.iter_mut().zip(&errors) {
+            *sum += e;
+        }
+        runs += 1;
+    }
+    let means = sums.into_iter().map(|s| if runs == 0 { f64::NAN } else { s / runs as f64 });
+    (means.collect(), runs)
+}
+
+/// The grid executor: runs every (dataset, algorithm, ε) cell of `cells`,
+/// `config.repetitions` times each, over `config.threads`, and returns the
+/// rows in grid order (dataset-major, then algorithm, then ε).
+///
+/// The grid is split into (cell, repetition-block) sub-tasks run on
+/// [`crate::exec::run_elastic`]: each claim re-grants the live pool share,
+/// so threads released by finished workers flow to the tail of the queue
+/// (transient oversubscription is bounded by `threads + workers − 1`).
+/// Sub-tasks are claimed in **cost order**, largest first, so a PrivHRG
+/// cell on the largest dataset cannot become a serial tail after the cheap
+/// cells drain: the key is the live [`CostModel`] (unobserved algorithms
+/// first in static-seed order, then the measured EWMA × n²), and each
+/// completed sub-task feeds its wall time back in.
+///
+/// All of that is scheduling only. Every repetition runs on
+/// `cell_rng(seed, dataset, algorithm, ε, rep)` and publishes into its own
+/// [`OnceLock`] slot; under [`MeasureReuse::PerCell`] whichever worker
+/// reaches a cell first measures it on the cell's [`measure_rng`] stream and
+/// the others reuse the result through a per-cell `OnceLock`; and cells
+/// reduce in repetition order afterwards. So the rows are byte-identical at
+/// every thread budget and in every claim order.
+pub(crate) fn run_cells<C: Cells>(
+    cells: &C,
+    algorithms: &[&str],
+    datasets: usize,
+    config: &BenchmarkConfig,
+) -> Vec<C::Row> {
+    let budget = config.thread_budget();
+    let reps = config.repetitions.max(1);
+    let tasks: Vec<CellIndex> = (0..datasets)
+        .flat_map(|di| (0..algorithms.len()).map(move |ai| (di, ai)))
+        .flat_map(|(di, ai)| (0..config.epsilons.len()).map(move |ei| (di, ai, ei)))
+        .collect();
+    // Block size: aim for ~ELASTIC_TASKS_PER_WORKER sub-tasks per worker,
+    // never finer than one repetition per sub-task.
+    let worker_cap = budget.min(tasks.len().saturating_mul(reps)).max(1);
+    let blocks_per_cell =
+        (worker_cap * ELASTIC_TASKS_PER_WORKER).div_ceil(tasks.len().max(1)).clamp(1, reps);
+    let block = reps.div_ceil(blocks_per_cell);
+    let subtasks: Vec<(usize, std::ops::Range<usize>)> = (0..tasks.len())
+        .flat_map(|t| {
+            (0..reps).step_by(block).map(move |start| (t, start..reps.min(start + block)))
+        })
+        .collect();
+    let model = CostModel::new(algorithms.iter().copied());
+    let pending = std::sync::Mutex::new((0..subtasks.len()).collect());
+    // One slot per (cell, repetition), cell-major.
+    let mut rep_slots: Vec<OnceLock<Option<Vec<f64>>>> =
+        (0..tasks.len() * reps).map(|_| OnceLock::new()).collect();
+    let measured: Vec<OnceLock<Option<C::Measured>>> =
+        (0..tasks.len()).map(|_| OnceLock::new()).collect();
+
     crate::exec::run_elastic(budget, subtasks.len(), |_ticket| {
         // Tickets are anonymous; each one claims whichever pending
         // sub-task the cost model currently predicts most expensive.
         let s = pop_costliest(&pending, |s| {
-            let (cell, range) = &subtasks[s];
-            let (di, ai, _) = tasks[*cell];
-            (model.claim_key(ai, datasets[di].1.node_count()), (*cell, range.start))
+            let (t, range) = &subtasks[s];
+            let (di, ai, _) = tasks[*t];
+            (model.claim_key(ai, cells.node_count(di)), (*t, range.start))
         });
-        let (cell, rep_range) = &subtasks[s];
-        let (di, ai, ei) = tasks[*cell];
-        let (_, graph) = &datasets[di];
+        let (t, rep_range) = &subtasks[s];
+        let cell @ (di, ai, ei) = tasks[*t];
         let started = std::time::Instant::now();
         let shared = (config.reuse == MeasureReuse::PerCell).then(|| {
-            measured[*cell]
-                .get_or_init(|| measure_cell(algorithms[ai].as_ref(), graph, config, (di, ai, ei)))
+            measured[*t]
+                .get_or_init(|| cells.measure(cell, &mut measure_rng(config.seed, di, ai, ei)))
         });
         for rep in rep_range.clone() {
-            let errors = run_rep(
-                algorithms[ai].as_ref(),
-                graph,
-                &true_values[di],
-                config,
-                (di, ai, ei),
-                rep,
-                shared,
-            );
-            rep_slots[*cell * reps + rep]
+            let errors = match shared {
+                // Per-cell with a failed measurement: every rep of the cell skips.
+                Some(None) => None,
+                _ => cells.run_rep(
+                    cell,
+                    &mut cell_rng(config.seed, di, ai, ei, rep),
+                    shared.and_then(Option::as_ref),
+                ),
+            };
+            rep_slots[*t * reps + rep]
                 .set(errors)
                 .expect("the ledger hands out each sub-task once");
         }
-        model.record(ai, graph.node_count(), rep_range.len(), started.elapsed().as_secs_f64());
+        model.record(ai, cells.node_count(di), rep_range.len(), started.elapsed().as_secs_f64());
     });
 
-    let mut rep_results: Vec<Option<Vec<f64>>> = rep_slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every claimed sub-task publishes its repetitions"))
-        .collect();
+    let published =
+        |slot: &mut OnceLock<_>| slot.take().expect("every sub-task publishes its reps");
     tasks
         .iter()
-        .enumerate()
-        .flat_map(|(t, &(di, ai, ei))| {
-            reduce_cell(
-                algorithms[ai].name(),
-                &datasets[di].0,
-                config.epsilons[ei],
-                config,
-                rep_results[t * reps..(t + 1) * reps].iter_mut().map(std::mem::take),
-            )
-        })
+        .zip(rep_slots.chunks_mut(reps))
+        .flat_map(|(&cell, slots)| cells.reduce(cell, slots.iter_mut().map(published)))
         .collect()
+}
+
+/// Computes `f` once per dataset on the dataset's own derived stream (the
+/// `algorithm = usize::MAX` slot no real cell occupies), under the full
+/// thread budget: no cell workers are running yet, so the suite's shared
+/// passes parallelise on it.
+pub(crate) fn per_dataset<D: Sync, T>(
+    datasets: &[(String, D)],
+    config: &BenchmarkConfig,
+    f: impl Fn(&D, &mut StdRng) -> T,
+) -> Vec<T> {
+    crate::par::with_parallelism(config.thread_budget(), || {
+        datasets
+            .iter()
+            .enumerate()
+            .map(|(di, (_, d))| f(d, &mut cell_rng(config.seed, di, usize::MAX, 0, 0)))
+            .collect()
+    })
+}
+
+/// The static grid as [`Cells`]: one graph per dataset, scored against its
+/// true query values.
+struct GraphCells<'a> {
+    algorithms: &'a [Box<dyn GraphGenerator>],
+    datasets: &'a [(String, Graph)],
+    config: &'a BenchmarkConfig,
+    /// True query values per dataset.
+    truth: Vec<Vec<QueryValue>>,
+}
+
+impl Cells for GraphCells<'_> {
+    type Measured = Box<dyn PrivateSynthesis>;
+    type Row = ExperimentOutcome;
+
+    fn node_count(&self, di: usize) -> usize {
+        self.datasets[di].1.node_count()
+    }
+
+    fn measure(&self, (di, ai, ei): CellIndex, rng: &mut StdRng) -> Option<Self::Measured> {
+        self.algorithms[ai].measure(&self.datasets[di].1, self.config.epsilons[ei], rng).ok()
+    }
+
+    fn run_rep(
+        &self,
+        (di, ai, ei): CellIndex,
+        rng: &mut StdRng,
+        shared: Option<&Self::Measured>,
+    ) -> Option<Vec<f64>> {
+        let config = self.config;
+        let synthetic = match shared {
+            None => {
+                self.algorithms[ai].generate(&self.datasets[di].1, config.epsilons[ei], rng).ok()?
+            }
+            Some(measured) => measured.sample(rng),
+        };
+        let values =
+            QuerySuite::evaluate_all(&synthetic, &config.queries, &config.query_params, rng);
+        Some(
+            config
+                .queries
+                .iter()
+                .zip(&values)
+                .zip(&self.truth[di])
+                .map(|((&q, v), t)| compute_error(q, t, v))
+                .collect(),
+        )
+    }
+
+    fn reduce(
+        &self,
+        (di, ai, ei): CellIndex,
+        rep_errors: impl Iterator<Item = Option<Vec<f64>>>,
+    ) -> Vec<ExperimentOutcome> {
+        let queries = &self.config.queries;
+        let (means, runs) = mean_errors(rep_errors, queries.len());
+        queries
+            .iter()
+            .zip(means)
+            .map(|(&query, mean_error)| ExperimentOutcome {
+                algorithm: self.algorithms[ai].name().to_string(),
+                dataset: self.datasets[di].0.clone(),
+                epsilon: self.config.epsilons[ei],
+                query,
+                metric: metric_for(query),
+                mean_error,
+                runs,
+            })
+            .collect()
+    }
 }
 
 /// Runs the full benchmark grid: every algorithm × dataset × ε, with
@@ -677,20 +590,19 @@ fn run_grid_elastic(
 /// generation through the one-pass [`QuerySuite`] evaluator, and errors
 /// averaged.
 ///
-/// Work is distributed over `config.threads` total threads by the
-/// configured [`Scheduler`] — elastic (cell, repetition-block) sub-tasks
-/// with per-claim [`crate::par::BudgetLedger`] grants by default, or the static
-/// whole-cell split via [`Scheduler::Static`]. Workers publish into
-/// preallocated [`OnceLock`] slots — no shared mutex on the hot path —
-/// and per-cell errors always reduce in repetition order, so results are
-/// deterministic (byte-identical CSV) for a fixed seed regardless of
-/// thread count *and* scheduler.
+/// Work is spread over `config.threads` total threads by the elastic grid
+/// executor: (cell, repetition-block) sub-tasks with per-claim
+/// [`crate::par::BudgetLedger`] grants, claimed in predicted-cost order.
+/// Workers publish into preallocated [`OnceLock`] slots — no shared mutex
+/// on the hot path — and per-cell errors always reduce in repetition
+/// order, so results are deterministic (byte-identical CSV) for a fixed
+/// seed regardless of thread count.
 ///
 /// Under [`MeasureReuse::PerCell`] each cell's ε-consuming `measure` phase
 /// runs once on a dedicated derived stream (shared across that cell's
 /// repetitions via a [`OnceLock`]) and repetitions only re-`sample` — the
 /// numbers differ from the per-rep default by design, but stay
-/// byte-identical across thread counts and schedulers all the same.
+/// byte-identical across thread counts all the same.
 ///
 /// Cells where every repetition's generation failed are still emitted, with
 /// `runs = 0` and `NaN` errors, so downstream reports always see the
@@ -700,42 +612,14 @@ pub fn run_benchmark(
     datasets: &[(String, Graph)],
     config: &BenchmarkConfig,
 ) -> BenchmarkResults {
-    let budget =
-        if config.threads == 0 { crate::par::available_parallelism() } else { config.threads };
-    // True query values per dataset, computed once — under the full thread
-    // budget, since no cell workers are running yet and the suite's shared
-    // passes (triangle, BFS, degree) parallelise on the ambient budget.
-    let true_values: Vec<Vec<QueryValue>> = crate::par::with_parallelism(budget, || {
-        datasets
-            .iter()
-            .enumerate()
-            .map(|(di, (_, g))| {
-                let mut rng = cell_rng(config.seed, di, usize::MAX, 0, 0);
-                QuerySuite::evaluate_all(g, &config.queries, &config.query_params, &mut rng)
-            })
-            .collect()
+    let truth = per_dataset(datasets, config, |g, rng| {
+        QuerySuite::evaluate_all(g, &config.queries, &config.query_params, rng)
     });
-
-    // Task grid: (dataset, algorithm, epsilon), in outcome order.
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for di in 0..datasets.len() {
-        for ai in 0..algorithms.len() {
-            for ei in 0..config.epsilons.len() {
-                tasks.push((di, ai, ei));
-            }
-        }
-    }
-    let outcomes = match config.sched {
-        Scheduler::Static => {
-            run_grid_static(algorithms, datasets, config, &true_values, &tasks, budget)
-        }
-        Scheduler::Elastic => {
-            run_grid_elastic(algorithms, datasets, config, &true_values, &tasks, budget)
-        }
-    };
+    let names: Vec<&str> = algorithms.iter().map(|a| a.name()).collect();
+    let cells = GraphCells { algorithms, datasets, config, truth };
     BenchmarkResults {
-        outcomes,
-        algorithms: algorithms.iter().map(|a| a.name().to_string()).collect(),
+        outcomes: run_cells(&cells, &names, datasets.len(), config),
+        algorithms: names.iter().map(|a| a.to_string()).collect(),
         datasets: datasets.iter().map(|(n, _)| n.clone()).collect(),
         epsilons: config.epsilons.clone(),
         queries: config.queries.clone(),
@@ -852,16 +736,10 @@ mod tests {
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         // 2 datasets × 4 algorithms × 2 ε × 4 queries + header.
         assert_eq!(serial.lines().count(), 65);
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads; // 0 ⇒ auto: available parallelism
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads; // 0 ⇒ auto: available parallelism
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(serial, other, "CSV must not depend on threads = {threads}");
         }
     }
 
@@ -871,8 +749,8 @@ mod tests {
         // the full 15-query suite make `QuerySuite::evaluate_all` (triangle
         // pass, BFS sweep, Louvain, EVC) dominate each cell, and the cheap
         // generator keeps generation out of the picture. The parallel
-        // shared passes must leave the CSV byte-identical across both
-        // schedulers and every thread budget.
+        // shared passes must leave the CSV byte-identical at every thread
+        // budget.
         let mut rng = StdRng::seed_from_u64(7);
         let datasets = vec![("dense".to_string(), pgb_models::erdos_renyi_gnp(120, 0.3, &mut rng))];
         let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(TmF::default())];
@@ -887,16 +765,13 @@ mod tests {
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         // 1 dataset × 1 algorithm × 2 ε × 15 queries + header.
         assert_eq!(serial.lines().count(), 31);
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads;
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "evaluation-heavy CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads;
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(
+                serial, other,
+                "evaluation-heavy CSV must not depend on threads = {threads}"
+            );
         }
     }
 
@@ -905,9 +780,9 @@ mod tests {
         // Sketch-backed evaluation rides the same determinism contract as
         // everything else: the sketches draw from derived per-intermediate
         // streams and their chunk merges are exact-integer or ordered, so
-        // the CSV must be byte-identical at any thread budget and under
-        // both schedulers. It must also differ from the exact CSV only in
-        // the sketch-backed queries' rows (spot-checked via |E|).
+        // the CSV must be byte-identical at any thread budget. It must also
+        // differ from the exact CSV only in the sketch-backed queries' rows
+        // (spot-checked via |E|).
         let (algorithms, datasets, mut config) = tiny_setup();
         config.queries = Query::ALL.to_vec();
         config.query_params.eval =
@@ -915,21 +790,14 @@ mod tests {
         config.threads = 1;
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         assert_eq!(serial.lines().count(), 61); // 2 algos × 2 ε × 15 queries + header
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads;
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "approx CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads;
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(serial, other, "approx CSV must not depend on threads = {threads}");
         }
         // |E| does not go through a sketch: its rows match exact evaluation.
         config.query_params.eval = pgb_queries::EvalMode::Exact;
         config.threads = 1;
-        config.sched = Scheduler::default();
         let exact = run_benchmark(&algorithms, &datasets, &config);
         let approx_results = run_benchmark(
             &algorithms,
@@ -949,16 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_parses_and_defaults_to_elastic() {
-        assert_eq!(BenchmarkConfig::default().sched, Scheduler::Elastic);
-        assert_eq!("static".parse::<Scheduler>(), Ok(Scheduler::Static));
-        assert_eq!("elastic".parse::<Scheduler>(), Ok(Scheduler::Elastic));
-        assert!("eager".parse::<Scheduler>().is_err());
-        assert_eq!(Scheduler::Static.name(), "static");
-        assert_eq!(Scheduler::Elastic.name(), "elastic");
-    }
-
-    #[test]
     fn measure_reuse_parses_and_defaults_to_per_rep() {
         assert_eq!(BenchmarkConfig::default().reuse, MeasureReuse::PerRep);
         assert_eq!("rep".parse::<MeasureReuse>(), Ok(MeasureReuse::PerRep));
@@ -972,22 +830,16 @@ mod tests {
     fn per_cell_reuse_is_deterministic_across_threads_and_schedulers() {
         // Per-cell numbers legitimately differ from per-rep numbers, but
         // within the mode the full determinism contract must hold: the CSV
-        // is byte-identical for every thread budget and both schedulers.
+        // is byte-identical for every thread budget.
         let (algorithms, datasets, mut config) = tiny_setup();
         config.reuse = MeasureReuse::PerCell;
         config.threads = 1;
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         assert_eq!(serial.lines().count(), 13);
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads;
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "per-cell CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads;
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(serial, other, "per-cell CSV must not depend on threads = {threads}");
         }
         // And every cell still completes: sampling a shared intermediate
         // succeeds wherever the full pipeline would have.
@@ -1000,20 +852,20 @@ mod tests {
 
     #[test]
     fn failing_generator_complete_grid_under_both_schedulers() {
-        // The complete-grid guarantee (runs = 0, NaN cells) must hold for
-        // the elastic rep-slot path too: a failed repetition publishes
-        // `None` into its slot, and the reduction still emits the cell.
+        // The complete-grid guarantee (runs = 0, NaN cells) must hold at
+        // every thread budget: a failed repetition publishes `None` into
+        // its slot, and the reduction still emits the cell.
         let (_, datasets, mut config) = tiny_setup();
         let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(AlwaysFails)];
-        for sched in [Scheduler::Static, Scheduler::Elastic] {
+        for threads in [1, 2, 8, 0] {
             for reuse in [MeasureReuse::PerRep, MeasureReuse::PerCell] {
-                config.sched = sched;
+                config.threads = threads;
                 config.reuse = reuse;
                 let results = run_benchmark(&algorithms, &datasets, &config);
-                assert_eq!(results.outcomes.len(), 6, "{sched:?} {reuse:?}");
+                assert_eq!(results.outcomes.len(), 6, "threads = {threads} {reuse:?}");
                 for o in &results.outcomes {
-                    assert_eq!(o.runs, 0, "{sched:?} {reuse:?}: {o:?}");
-                    assert!(o.mean_error.is_nan(), "{sched:?} {reuse:?}: {o:?}");
+                    assert_eq!(o.runs, 0, "threads = {threads} {reuse:?}: {o:?}");
+                    assert!(o.mean_error.is_nan(), "threads = {threads} {reuse:?}: {o:?}");
                 }
             }
         }

@@ -17,7 +17,7 @@
 //! order-free), never append to shared state in completion order.
 
 use crate::par::BudgetLedger;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Executes tasks `0..tasks` over an elastic worker pool sharing `budget`
 /// threads (0 ⇒ the machine's available parallelism).
@@ -26,9 +26,11 @@ use std::sync::{Arc, OnceLock};
 /// ascending order from a shared [`BudgetLedger`] and runs `run(task)`
 /// under an elastic grant, so a long tail task absorbs the threads earlier
 /// tasks release (both at claim time and mid-task, via
-/// [`crate::par::current_parallelism`]'s re-polling). Callers that want a
-/// non-index claim order sort their task list before calling and index
-/// through it, as the benchmark runner's cost-aware claim order does.
+/// [`crate::par::current_parallelism`]'s re-polling). The index is a
+/// ticket, not necessarily the work: a caller that wants another claim
+/// order treats every index as anonymous and picks its task when the ticket
+/// runs, as the benchmark grid does by popping the costliest pending
+/// sub-task from its cost model.
 ///
 /// Returns once every task has run. If a task panics, its grant is
 /// released during unwinding (the pool identity holds) and the panic
@@ -58,24 +60,6 @@ where
     });
 }
 
-/// [`run_elastic`] with collected outputs: runs `f` once per index of
-/// `0..len` over the elastic pool and returns the outputs **in index
-/// order**, regardless of which worker computed which index when.
-pub fn run_elastic_collect<T, F>(budget: usize, len: usize, f: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    let slots: Vec<OnceLock<T>> = (0..len).map(|_| OnceLock::new()).collect();
-    run_elastic(budget, len, |i| {
-        assert!(slots[i].set(f(i)).is_ok(), "the ledger hands out each task once");
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every claimed task publishes its slot"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,18 +80,8 @@ mod tests {
     }
 
     #[test]
-    fn collect_preserves_index_order_at_any_budget() {
-        let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
-        for budget in [1, 3, 8, 0] {
-            assert_eq!(run_elastic_collect(budget, 37, |i| i * i), expected, "budget = {budget}");
-        }
-    }
-
-    #[test]
     fn zero_tasks_is_a_no_op() {
         run_elastic(4, 0, |_| unreachable!("no task to run"));
-        let out: Vec<u8> = run_elastic_collect(4, 0, |_| unreachable!("no task to run"));
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn standard_suite() -> Vec<Box<dyn GraphGenerator>> {
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::benchmark::{
-        BenchmarkConfig, BenchmarkResults, ErrorMetric, ExperimentOutcome, MeasureReuse, Scheduler,
+        BenchmarkConfig, BenchmarkResults, ErrorMetric, ExperimentOutcome, MeasureReuse,
     };
     pub use crate::{
         standard_suite, Der, Dgg, DkVariant, DpDk, GenerateError, GraphGenerator, PrivGraph,

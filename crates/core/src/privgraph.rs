@@ -461,4 +461,25 @@ mod tests {
         let out = PrivGraph::default().generate(&g, 1.0, &mut rng).unwrap();
         assert_eq!(out.node_count(), 3);
     }
+
+    /// Pins PrivGraph's output byte for byte: the edge list of one
+    /// `generate` at a low and a high ε. The phase-1 partition is Louvain's
+    /// output on the noisy super-graph, so this also pins Louvain on the
+    /// weighted input PrivGraph feeds it.
+    #[test]
+    fn output_pinned() {
+        fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+        }
+        let g = community_graph(&mut StdRng::seed_from_u64(456));
+        for (epsilon, want) in [(0.5, 0x2503_9ec0_a7d5_f35f), (5.0, 0xac34_7f4e_ea12_5540)] {
+            let out = PrivGraph::default()
+                .generate(&g, epsilon, &mut StdRng::seed_from_u64(457))
+                .unwrap();
+            let edges = out.edges().fold(0xcbf2_9ce4_8422_2325, |h, (u, v)| {
+                fnv1a(fnv1a(h, &u.to_le_bytes()), &v.to_le_bytes())
+            });
+            assert_eq!(edges, want, "ε = {epsilon}");
+        }
+    }
 }

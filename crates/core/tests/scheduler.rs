@@ -1,10 +1,9 @@
-//! The elastic scheduler's contract, from the outside in:
+//! The grid executor's contract, from the outside in:
 //!
-//! * a tail-heavy grid (`available_parallelism() + 2` cells — exactly the
-//!   shape where the old static split strands threads) produces
-//!   byte-identical CSV across `Scheduler::{Static, Elastic}` × threads
-//!   {1, 2, 8, 0}, and
-//! * the elastic scheduler claims (cell, repetition-block) sub-tasks in
+//! * a tail-heavy grid (`available_parallelism() + 2` cells, so the queue
+//!   drains below the worker count right at the tail) produces
+//!   byte-identical CSV across threads {1, 2, 8, 0}, and
+//! * the executor claims (cell, repetition-block) sub-tasks in
 //!   descending predicted-cost order — unobserved algorithms first on the
 //!   static-seed key, observed ones on their EWMA of measured cell times —
 //!   while emitting the exact same grid as grid-order claiming, and
@@ -14,9 +13,7 @@
 //!   (`available + Σ outstanding pooled ≡ budget`), released threads are
 //!   re-grantable, and the ledger drains back to exactly `budget`.
 
-use pgb_core::benchmark::{
-    algorithm_cost_weight, run_benchmark, BenchmarkConfig, MeasureReuse, Scheduler,
-};
+use pgb_core::benchmark::{algorithm_cost_weight, run_benchmark, BenchmarkConfig, MeasureReuse};
 use pgb_core::generator::GenerateError;
 use pgb_core::par::{available_parallelism, BudgetLedger, Grant};
 use pgb_core::{GraphGenerator, PrivateSynthesis, TmF};
@@ -45,24 +42,20 @@ fn csv_byte_identical_across_schedulers_on_tail_heavy_grid() {
         queries: vec![Query::EdgeCount, Query::Triangles, Query::DegreeDistribution],
         seed: 11,
         threads: 1,
-        sched: Scheduler::Static,
         ..Default::default()
     };
     let reference = run_benchmark(&algorithms, &datasets, &config).to_csv();
     assert_eq!(reference.lines().count(), cells * 3 + 1);
-    for sched in [Scheduler::Static, Scheduler::Elastic] {
-        for threads in [1, 2, 8, 0] {
-            config.sched = sched;
-            config.threads = threads;
-            let csv = run_benchmark(&algorithms, &datasets, &config).to_csv();
-            assert_eq!(csv, reference, "CSV drifted at sched = {sched:?}, threads = {threads}");
-        }
+    for threads in [1, 2, 8, 0] {
+        config.threads = threads;
+        let csv = run_benchmark(&algorithms, &datasets, &config).to_csv();
+        assert_eq!(csv, reference, "CSV drifted at threads = {threads}");
     }
 }
 
 /// A generator that records every `measure` call as `(name, n, ε)` into a
 /// shared log — with one worker (threads = 1), the call order *is* the
-/// elastic scheduler's claim order — and counts measure/sample calls so
+/// executor's claim order — and counts measure/sample calls so
 /// the [`MeasureReuse`] contract is observable from the outside.
 struct Recording {
     label: &'static str,
@@ -159,7 +152,6 @@ fn elastic_claims_expensive_cells_first_without_changing_output() {
         queries: vec![Query::EdgeCount, Query::Triangles],
         seed: 5,
         threads: 1, // one worker ⇒ generation order ≡ claim order
-        sched: Scheduler::Elastic,
         ..Default::default()
     };
     let results = run_benchmark(&algorithms, &datasets, &config);
@@ -180,54 +172,51 @@ fn elastic_claims_expensive_cells_first_without_changing_output() {
         "the observed tail is EWMA-ordered (time-dependent) but complete"
     );
 
-    // Scheduling only: the emitted grid is identical to grid-order claiming
-    // (the static scheduler) at any thread count.
-    let reference = {
-        let mut c = config.clone();
-        c.sched = Scheduler::Static;
-        run_benchmark(&algorithms, &datasets, &c).to_csv()
-    };
-    assert_eq!(results.to_csv(), reference, "cost-aware claiming changed the CSV");
+    // Scheduling only: more workers claim in other orders (and the EWMA
+    // tail order is time-dependent), yet the emitted grid is identical.
+    let reference = results.to_csv();
+    for threads in [2, 8, 0] {
+        let c = BenchmarkConfig { threads, ..config.clone() };
+        let csv = run_benchmark(&algorithms, &datasets, &c).to_csv();
+        assert_eq!(csv, reference, "cost-aware claiming changed the CSV at threads = {threads}");
+    }
     let row0 = &results.outcomes[0];
     assert_eq!((row0.dataset.as_str(), row0.algorithm.as_str()), ("small", "TmF"), "grid order");
 }
 
 #[test]
 fn per_cell_reuse_measures_once_per_cell_under_both_schedulers() {
-    // The ISSUE's amortisation contract, observed through call counts:
+    // The measurement-reuse contract, observed through call counts:
     // under `--reuse rep` every repetition pays a measurement; under
     // `--reuse cell` the measurement runs once per (dataset, algorithm, ε)
-    // cell and repetitions only re-sample — at every thread budget, under
-    // both schedulers (the elastic path shares the intermediate across
-    // repetition blocks through a per-cell `OnceLock`).
+    // cell and repetitions only re-sample — at every thread budget (the
+    // executor shares the intermediate across repetition blocks through a
+    // per-cell `OnceLock`).
     let mut rng = StdRng::seed_from_u64(33);
     let datasets = vec![("er".to_string(), pgb_models::erdos_renyi_gnp(40, 0.15, &mut rng))];
     let reps = 3;
     let cells = 2; // 1 dataset × 1 algorithm × 2 ε
-    for sched in [Scheduler::Static, Scheduler::Elastic] {
-        for threads in [1, 4] {
-            for (reuse, expect_measures) in
-                [(MeasureReuse::PerRep, cells * reps), (MeasureReuse::PerCell, cells)]
-            {
-                let rec = Recording::new("Rec", Arc::new(Mutex::new(Vec::new())));
-                let (measures, samples) = (Arc::clone(&rec.measures), Arc::clone(&rec.samples));
-                let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(rec)];
-                let config = BenchmarkConfig {
-                    epsilons: vec![0.5, 2.0],
-                    repetitions: reps,
-                    queries: vec![Query::EdgeCount],
-                    seed: 9,
-                    threads,
-                    sched,
-                    reuse,
-                    ..Default::default()
-                };
-                let results = run_benchmark(&algorithms, &datasets, &config);
-                assert!(results.outcomes.iter().all(|o| o.runs == reps));
-                let ctx = format!("{sched:?} threads={threads} {reuse:?}");
-                assert_eq!(measures.load(Ordering::Relaxed), expect_measures, "{ctx}");
-                assert_eq!(samples.load(Ordering::Relaxed), cells * reps, "{ctx}");
-            }
+    for threads in [1, 2, 8, 0] {
+        for (reuse, expect_measures) in
+            [(MeasureReuse::PerRep, cells * reps), (MeasureReuse::PerCell, cells)]
+        {
+            let rec = Recording::new("Rec", Arc::new(Mutex::new(Vec::new())));
+            let (measures, samples) = (Arc::clone(&rec.measures), Arc::clone(&rec.samples));
+            let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(rec)];
+            let config = BenchmarkConfig {
+                epsilons: vec![0.5, 2.0],
+                repetitions: reps,
+                queries: vec![Query::EdgeCount],
+                seed: 9,
+                threads,
+                reuse,
+                ..Default::default()
+            };
+            let results = run_benchmark(&algorithms, &datasets, &config);
+            assert!(results.outcomes.iter().all(|o| o.runs == reps));
+            let ctx = format!("threads={threads} {reuse:?}");
+            assert_eq!(measures.load(Ordering::Relaxed), expect_measures, "{ctx}");
+            assert_eq!(samples.load(Ordering::Relaxed), cells * reps, "{ctx}");
         }
     }
 }

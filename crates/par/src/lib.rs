@@ -52,7 +52,7 @@
 //! How a *pool of workers* divides a shared budget over a draining task
 //! queue is the job of [`BudgetLedger`]: workers re-claim their share per
 //! task, so threads released by finished workers flow to the tail of the
-//! queue instead of idling (the benchmark runner's elastic scheduler).
+//! queue instead of idling (the benchmark runner's grid executor).
 //!
 //! ## Deterministic cancellation
 //!
@@ -309,7 +309,7 @@ impl BudgetLedger {
     }
 
     /// Grows `grant` from the pool, if the pool has anything to give —
-    /// the mid-task half of the elastic scheduler. The holder's share is
+    /// the mid-task half of elastic scheduling. The holder's share is
     /// recomputed against the live state with the holder counted as one
     /// claimant alongside the still-unclaimed tasks
     /// (`claimants = min(remaining + 1, workers)`), so a worker on the

@@ -29,8 +29,8 @@
 //! batches of 64 sources as chunks (so a 64-source sample is one batch at
 //! any budget: a narrower batch costs about as much as a full one). All pick
 //! up the **ambient** [`pgb_par::current_parallelism`] budget — the
-//! benchmark runner's schedulers already scope every repetition with
-//! `pgb_par::with_parallelism`, so evaluation scales with the intra-cell
+//! benchmark runner's grid executor already scopes every repetition with
+//! an elastic thread grant, so evaluation scales with the intra-cell
 //! thread budget without any new plumbing, and every pass is bit-identical
 //! at any thread count (chunk merges are exact-integer or order-preserving
 //! appends only).
